@@ -24,42 +24,64 @@ namespace autopilot::dse
 namespace
 {
 
+/** The Phase 1 success rate of @p policy (int8-validated). */
+double
+phase1SuccessRate(const BackendContext &ctx,
+                  const nn::PolicyHyperParams &policy)
+{
+    const auto record = ctx.database->find(policy, ctx.density);
+    util::fatalIf(!record.has_value(),
+                  "EvalBackend: no Phase 1 record for policy " +
+                      nn::policyName(policy) + " - run the trainer first");
+    return record->successRate;
+}
+
 /**
- * Shared evaluation path: look up the Phase 1 success rate, run the
- * policy on @p engine, and lower the run through the NPU/SoC power
- * stack. Exactly the historical DseEvaluator::compute() sequence, so
- * the analytical backend stays bit-identical to the pre-backend
- * evaluator.
+ * The scalar evaluation path of every backend: look up the Phase 1
+ * success rate, run the policy on @p engine, and lower the run through
+ * the NPU/SoC power stack with @p backgroundBytesPerSec of flat
+ * background DRAM traffic. Exactly the historical
+ * DseEvaluator::compute() sequence, so the analytical backend stays
+ * bit-identical to the pre-backend evaluator.
+ *
+ * @p commands, when set, are the bank-level channel counters the run
+ * fills in: DRAM power is then billed from the commands actually issued
+ * instead of the flat model, so background traffic is charged once.
  */
 Evaluation
 evaluateWithEngine(const systolic::Engine &engine,
                    const DesignPoint &point, const BackendContext &ctx,
-                   double backgroundBytesPerSec = 0.0)
+                   double backgroundBytesPerSec,
+                   const dram::ChannelStats *commands = nullptr)
 {
     Evaluation evaluation;
     evaluation.point = point;
-
-    const auto record = ctx.database->find(point.policy, ctx.density);
-    util::fatalIf(!record.has_value(),
-                  "EvalBackend: no Phase 1 record for policy " +
-                      nn::policyName(point.policy) +
-                      " - run the trainer first");
     // The Phase 1 record is int8-validated; deploying at a wider
     // precision recovers part of the quantization penalty (verbatim
     // pass-through at the int8 default).
     evaluation.successRate = airlearning::quantizedSuccessRate(
-        record->successRate, point.policy, point.accel.bytesPerElement);
+        phase1SuccessRate(ctx, point.policy), point.policy,
+        point.accel.bytesPerElement);
 
     const nn::Model model = nn::buildE2EModel(point.policy);
     const systolic::RunResult run = engine.run(model);
+    const double clock = point.accel.clockGhz;
+    const double seconds = run.runtimeSeconds(clock);
 
-    const power::NpuPowerModel npu(point.accel);
-    evaluation.npuPowerW = npu.averagePowerW(run, backgroundBytesPerSec);
+    power::NpuPowerBreakdown npu =
+        power::NpuPowerModel(point.accel)
+            .estimate(run, backgroundBytesPerSec);
+    if (commands != nullptr) {
+        const power::DramCommandCounts counts{
+            commands->activates, commands->precharges,
+            commands->refreshes, commands->totalBytes()};
+        npu.dramW =
+            power::DramModel().commandPowerMw(counts, seconds) * 1e-3;
+    }
+    evaluation.npuPowerW = npu.totalW();
     evaluation.socPowerW =
         power::socPower(evaluation.npuPowerW).totalW();
-
-    const double clock = point.accel.clockGhz;
-    evaluation.latencyMs = run.runtimeSeconds(clock) * 1e3;
+    evaluation.latencyMs = seconds * 1e3;
     evaluation.fps = run.framesPerSecond(clock);
 
     evaluation.objectives = {1.0 - evaluation.successRate,
@@ -73,6 +95,25 @@ checkContext(const BackendContext &context, const char *who)
     util::fatalIf(context.database == nullptr,
                   std::string(who) + ": BackendContext has no policy "
                                      "database");
+}
+
+/**
+ * Batch preamble shared by the backends: bump
+ * "dse.backend.<backend>.points" and return the "dse.simulate_s"
+ * histogram (null while telemetry is off).
+ */
+util::Histogram *
+countBatch(const std::string &backend, std::size_t points)
+{
+    util::Telemetry &telemetry = util::Telemetry::instance();
+    if (!telemetry.enabled())
+        return nullptr;
+    if (points > 0) {
+        telemetry.metrics()
+            .counter("dse.backend." + backend + ".points")
+            .add(points);
+    }
+    return &telemetry.metrics().histogram("dse.simulate_s");
 }
 
 /**
@@ -108,16 +149,7 @@ void
 EvalBackend::evaluateBatch(std::span<const DesignPoint> points,
                            util::ThreadPool *pool, const CommitFn &commit)
 {
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    util::Histogram *simulate_hist =
-        telemetry.enabled()
-            ? &telemetry.metrics().histogram("dse.simulate_s")
-            : nullptr;
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
+    util::Histogram *simulate_hist = countBatch(name(), points.size());
     util::parallel_for(pool, points.size(), [&](std::size_t i) {
         Evaluation evaluation;
         {
@@ -131,26 +163,28 @@ EvalBackend::evaluateBatch(std::span<const DesignPoint> points,
 
 // ------------------------------------------------------------- registry ----
 
-BackendRegistry::BackendRegistry()
+namespace
 {
-    factories["analytical"] = [](const BackendContext &context) {
-        return std::make_unique<AnalyticalBackend>(context);
+
+template <typename Backend>
+BackendRegistry::Factory
+factoryOf()
+{
+    return [](const BackendContext &context) {
+        return std::make_unique<Backend>(context);
     };
-    factories["quantized"] = [](const BackendContext &context) {
-        return std::make_unique<QuantizedBackend>(context);
-    };
-    factories["cycle"] = [](const BackendContext &context) {
-        return std::make_unique<CycleBackend>(context);
-    };
-    factories["tiered"] = [](const BackendContext &context) {
-        return std::make_unique<TieredBackend>(context);
-    };
-    factories["contention"] = [](const BackendContext &context) {
-        return std::make_unique<ContentionBackend>(context);
-    };
-    factories["dram"] = [](const BackendContext &context) {
-        return std::make_unique<DramBackend>(context);
-    };
+}
+
+} // namespace
+
+BackendRegistry::BackendRegistry()
+    : factories{{"analytical", factoryOf<AnalyticalBackend>()},
+                {"quantized", factoryOf<QuantizedBackend>()},
+                {"cycle", factoryOf<CycleBackend>()},
+                {"tiered", factoryOf<TieredBackend>()},
+                {"contention", factoryOf<ContentionBackend>()},
+                {"dram", factoryOf<DramBackend>()}}
+{
 }
 
 BackendRegistry &
@@ -226,8 +260,10 @@ struct AnalyticalBackend::PlanCache
         byPolicy;
 };
 
-AnalyticalBackend::AnalyticalBackend(const BackendContext &context)
-    : ctx(context), plans(std::make_unique<PlanCache>())
+AnalyticalBackend::AnalyticalBackend(const BackendContext &context,
+                                     std::string name)
+    : ctx(context), label(std::move(name)),
+      plans(std::make_unique<PlanCache>())
 {
     checkContext(ctx, "AnalyticalBackend");
 }
@@ -241,9 +277,9 @@ AnalyticalBackend::evaluate(const DesignPoint &point)
     // historical compute() sequence. The batch path below must stay
     // bit-identical to this (test_batch_kernel.cc pins it).
     const systolic::AnalyticalEngine engine(point.accel);
-    Evaluation evaluation = evaluateWithEngine(engine, point, ctx);
+    Evaluation evaluation = evaluateWithEngine(engine, point, ctx, 0.0);
     evaluation.fidelity = Fidelity::Analytical;
-    evaluation.backend = name();
+    evaluation.backend = label;
     return evaluation;
 }
 
@@ -275,12 +311,7 @@ AnalyticalBackend::batchEvaluate(std::span<const DesignPoint> points,
         auto [it, inserted] = groupIndex.try_emplace(key, groups.size());
         if (inserted) {
             Group group;
-            const auto record = ctx.database->find(policy, ctx.density);
-            util::fatalIf(!record.has_value(),
-                          "EvalBackend: no Phase 1 record for policy " +
-                              nn::policyName(policy) +
-                              " - run the trainer first");
-            group.successRate = record->successRate;
+            group.successRate = phase1SuccessRate(ctx, policy);
             {
                 std::lock_guard<std::mutex> lock(plans->mutex);
                 auto &slot = plans->byPolicy[key];
@@ -362,7 +393,7 @@ AnalyticalBackend::batchEvaluate(std::span<const DesignPoint> points,
                                      evaluation.socPowerW,
                                      evaluation.latencyMs};
             evaluation.fidelity = Fidelity::Analytical;
-            evaluation.backend = name();
+            evaluation.backend = label;
             commit(i, std::move(evaluation));
         }
     });
@@ -373,17 +404,8 @@ AnalyticalBackend::evaluateBatch(std::span<const DesignPoint> points,
                                  util::ThreadPool *pool,
                                  const CommitFn &commit)
 {
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    util::Histogram *simulate_hist =
-        telemetry.enabled()
-            ? &telemetry.metrics().histogram("dse.simulate_s")
-            : nullptr;
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
-    batchEvaluate(points, pool, commit, simulate_hist, "dse.simulate");
+    batchEvaluate(points, pool, commit, countBatch(label, points.size()),
+                  "dse.simulate");
 }
 
 void
@@ -402,229 +424,129 @@ AnalyticalBackend::screenBatch(std::span<const DesignPoint> points,
         screen_hist, "dse.screen");
 }
 
-// ------------------------------------------------------------- quantized ----
+// ------------------------------------------------------- cycle timeline ----
 
-QuantizedBackend::QuantizedBackend(const BackendContext &context)
-    : AnalyticalBackend(context)
+CycleTimelineBackend::CycleTimelineBackend(const BackendContext &context,
+                                           std::string name,
+                                           MemoryModel requested)
+    : ctx{context.database, context.density, {}, {}},
+      label(std::move(name)), memory(MemoryModel::Ideal)
 {
-}
-
-void
-QuantizedBackend::evaluateBatch(std::span<const DesignPoint> points,
-                                util::ThreadPool *pool,
-                                const CommitFn &commit)
-{
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty()) {
-        // Per-precision spread of the batch: how the search splits its
-        // budget across the int8/fp16/fp32 axis.
-        std::map<int, std::uint64_t> perWidth;
-        for (const DesignPoint &point : points)
-            ++perWidth[point.accel.bytesPerElement];
-        for (const auto &[width, count] : perWidth) {
-            telemetry.metrics()
-                .counter("dse.quantized." +
-                         systolic::precisionName(width) + ".points")
-                .add(count);
+    checkContext(ctx, "CycleTimelineBackend");
+    if (requested == MemoryModel::Derated) {
+        context.contention.validate();
+        if (context.contention.enabled()) {
+            memory = MemoryModel::Derated;
+            ctx.contention = context.contention;
+        }
+    } else if (requested == MemoryModel::Bank) {
+        // Fatal with the human-readable infeasibleReason diagnosis on
+        // degenerate timing (zero banks, zero tRP/tRCD, refresh interval
+        // inside the refresh stall, ...) - never simulated into NaN or
+        // infinite latency.
+        context.dram.validate();
+        if (context.dram.enabled()) {
+            memory = MemoryModel::Bank;
+            ctx.dram = context.dram;
+            for (const dram::TrafficGeneratorSpec &generator :
+                 ctx.dram.generators)
+                genSpanNames.push_back("dram.gen." + generator.name);
         }
     }
-    AnalyticalBackend::evaluateBatch(points, pool, commit);
-}
-
-CycleBackend::CycleBackend(const BackendContext &context) : ctx(context)
-{
-    checkContext(ctx, "CycleBackend");
 }
 
 Evaluation
-CycleBackend::evaluate(const DesignPoint &point)
-{
-    const systolic::CycleEngine engine(point.accel);
-    Evaluation evaluation = evaluateWithEngine(engine, point, ctx);
-    evaluation.fidelity = Fidelity::CycleAccurate;
-    evaluation.backend = name();
-    return evaluation;
-}
-
-// ------------------------------------------------------------ contention ----
-
-ContentionBackend::ContentionBackend(const BackendContext &context)
-    : ctx(context)
-{
-    checkContext(ctx, "ContentionBackend");
-    ctx.contention.validate();
-}
-
-Evaluation
-ContentionBackend::evaluate(const DesignPoint &point)
-{
-    const systolic::CycleEngine engine(point.accel, ctx.contention);
-    Evaluation evaluation = evaluateWithEngine(
-        engine, point, ctx, ctx.contention.totalBytesPerSec());
-    evaluation.fidelity = Fidelity::CycleAccurate;
-    evaluation.backend = name();
-    evaluation.contentionBytesPerSec = ctx.contention.totalBytesPerSec();
-    return evaluation;
-}
-
-void
-ContentionBackend::evaluateBatch(std::span<const DesignPoint> points,
-                                 util::ThreadPool *pool,
-                                 const CommitFn &commit)
+CycleTimelineBackend::evaluate(const DesignPoint &point)
 {
     util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .gauge("dse.backend.contention.background_bps")
-            .set(static_cast<std::int64_t>(
-                ctx.contention.totalBytesPerSec()));
-    }
-    EvalBackend::evaluateBatch(points, pool, commit);
-}
-
-// ------------------------------------------------------------------ dram ----
-
-DramBackend::DramBackend(const BackendContext &context) : ctx(context)
-{
-    checkContext(ctx, "DramBackend");
-    // Fatal with the human-readable infeasibleReason diagnosis on
-    // degenerate timing (zero banks, zero tRP/tRCD, refresh interval
-    // inside the refresh stall, ...) - never simulated into NaN or
-    // infinite latency.
-    ctx.dram.validate();
-    for (const dram::TrafficGeneratorSpec &generator :
-         ctx.dram.generators)
-        genSpanNames.push_back("dram.gen." + generator.name);
-}
-
-Evaluation
-DramBackend::evaluate(const DesignPoint &point)
-{
-    const dram::DramCycleEngine engine(point.accel, ctx.dram);
-
-    if (!ctx.dram.enabled()) {
-        // No generators: the engine IS the pure-cycle path and power
-        // takes the plain flat path - bit-identical to CycleBackend
-        // (the bank-model-vs-contention consistency contract).
-        Evaluation evaluation = evaluateWithEngine(engine, point, ctx);
-        evaluation.fidelity = Fidelity::CycleAccurate;
-        evaluation.backend = name();
-        return evaluation;
-    }
-
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    // Per-generator trace spans around the simulated evaluation, named
-    // by stream so a trace shows which background load shaped this run.
-    std::vector<std::unique_ptr<util::TraceSpan>> genSpans;
-    if (telemetry.enabled()) {
-        for (const std::string &spanName : genSpanNames) {
-            genSpans.push_back(std::make_unique<util::TraceSpan>(
-                spanName.c_str(), "dram"));
-        }
-    }
-
     Evaluation evaluation;
-    evaluation.point = point;
-
-    const auto record = ctx.database->find(point.policy, ctx.density);
-    util::fatalIf(!record.has_value(),
-                  "EvalBackend: no Phase 1 record for policy " +
-                      nn::policyName(point.policy) +
-                      " - run the trainer first");
-    evaluation.successRate = airlearning::quantizedSuccessRate(
-        record->successRate, point.policy, point.accel.bytesPerElement);
-
-    const nn::Model model = nn::buildE2EModel(point.policy);
-    const systolic::RunResult run = engine.run(model);
-    const double clock = point.accel.clockGhz;
-    const double seconds = run.runtimeSeconds(clock);
-
-    // Power: the plain stack with ZERO flat background surcharge - the
-    // background streams are billed below through the commands they
-    // actually issued, never twice (the ContentionProfile/DramModel
-    // double-charging fix).
-    const power::NpuPowerModel npu(point.accel);
-    power::NpuPowerBreakdown breakdown = npu.estimate(run, 0.0);
-    const dram::ChannelStats &stats = engine.runStats();
-    const power::DramCommandCounts counts{stats.activates,
-                                          stats.precharges,
-                                          stats.refreshes,
-                                          stats.totalBytes()};
-    breakdown.dramW =
-        power::DramModel().commandPowerMw(counts, seconds) * 1e-3;
-
-    evaluation.npuPowerW = breakdown.totalW();
-    evaluation.socPowerW = power::socPower(evaluation.npuPowerW).totalW();
-    evaluation.latencyMs = seconds * 1e3;
-    evaluation.fps = run.framesPerSecond(clock);
-    evaluation.objectives = {1.0 - evaluation.successRate,
-                             evaluation.socPowerW, evaluation.latencyMs};
-    evaluation.fidelity = Fidelity::BankAccurate;
-    evaluation.backend = name();
-    evaluation.dramKey = ctx.dram.tag();
-
-    rowHits_.fetch_add(stats.rowHits, std::memory_order_relaxed);
-    rowMisses_.fetch_add(stats.rowMisses, std::memory_order_relaxed);
-    rowConflicts_.fetch_add(stats.rowConflicts,
-                            std::memory_order_relaxed);
-    refreshes_.fetch_add(stats.refreshes, std::memory_order_relaxed);
-    activates_.fetch_add(stats.activates, std::memory_order_relaxed);
-    channelBytes_.fetch_add(stats.totalBytes(),
-                            std::memory_order_relaxed);
-
-    if (telemetry.enabled()) {
-        util::MetricsRegistry &metrics = telemetry.metrics();
-        metrics.counter("dse.dram.row_hits")
-            .add(static_cast<std::uint64_t>(stats.rowHits));
-        metrics.counter("dse.dram.row_misses")
-            .add(static_cast<std::uint64_t>(stats.rowMisses));
-        metrics.counter("dse.dram.row_conflicts")
-            .add(static_cast<std::uint64_t>(stats.rowConflicts));
-        metrics.counter("dse.dram.refreshes")
-            .add(static_cast<std::uint64_t>(stats.refreshes));
-        for (const dram::GeneratorStats &slice : stats.generators) {
-            metrics.counter("dse.dram.gen." + slice.name + ".requests")
-                .add(static_cast<std::uint64_t>(slice.requests));
+    if (memory == MemoryModel::Bank) {
+        // Per-generator trace spans around the simulated evaluation,
+        // named by stream so a trace shows which background load shaped
+        // this run.
+        std::vector<std::unique_ptr<util::TraceSpan>> genSpans;
+        if (telemetry.enabled()) {
+            for (const std::string &spanName : genSpanNames) {
+                genSpans.push_back(std::make_unique<util::TraceSpan>(
+                    spanName.c_str(), "dram"));
+            }
+        }
+        const dram::DramCycleEngine engine(point.accel, ctx.dram);
+        evaluation =
+            evaluateWithEngine(engine, point, ctx, 0.0, &engine.runStats());
+        evaluation.dramKey = ctx.dram.tag();
+        foldCommands(engine.runStats());
+    } else {
+        // An empty profile (Ideal) keeps CycleEngine's exact integer
+        // fold-cycle path and bills no background traffic.
+        const double background = ctx.contention.totalBytesPerSec();
+        const systolic::CycleEngine engine(point.accel, ctx.contention);
+        evaluation = evaluateWithEngine(engine, point, ctx, background);
+        evaluation.contentionBytesPerSec = background;
+        if (memory == MemoryModel::Derated && telemetry.enabled()) {
+            telemetry.metrics()
+                .gauge("dse.backend.contention.background_bps")
+                .set(static_cast<std::int64_t>(background));
         }
     }
+    evaluation.fidelity = fidelity();
+    evaluation.backend = label;
     return evaluation;
 }
 
 void
-DramBackend::evaluateBatch(std::span<const DesignPoint> points,
-                           util::ThreadPool *pool, const CommitFn &commit)
+CycleTimelineBackend::foldCommands(const dram::ChannelStats &stats)
 {
-    EvalBackend::evaluateBatch(points, pool, commit);
+    std::lock_guard<std::mutex> lock(commandsMutex);
+    commands.accumulate(stats);
     util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty() && ctx.dram.enabled()) {
-        // Running aggregate hit rate across every evaluation so far -
-        // the row-locality signal of the whole campaign.
-        const std::int64_t hits = rowHits_.load();
-        const std::int64_t total =
-            hits + rowMisses_.load() + rowConflicts_.load();
-        if (total > 0) {
-            telemetry.metrics()
-                .gauge("dse.dram.hit_rate_ppm")
-                .set(static_cast<std::int64_t>(
-                    1e6 * static_cast<double>(hits) /
-                    static_cast<double>(total)));
-        }
+    if (!telemetry.enabled())
+        return;
+    util::MetricsRegistry &metrics = telemetry.metrics();
+    metrics.counter("dse.dram.row_hits")
+        .add(static_cast<std::uint64_t>(stats.rowHits));
+    metrics.counter("dse.dram.row_misses")
+        .add(static_cast<std::uint64_t>(stats.rowMisses));
+    metrics.counter("dse.dram.row_conflicts")
+        .add(static_cast<std::uint64_t>(stats.rowConflicts));
+    metrics.counter("dse.dram.refreshes")
+        .add(static_cast<std::uint64_t>(stats.refreshes));
+    for (const dram::GeneratorStats &slice : stats.generators) {
+        metrics.counter("dse.dram.gen." + slice.name + ".requests")
+            .add(static_cast<std::uint64_t>(slice.requests));
     }
+    // Running aggregate hit rate across every evaluation so far - the
+    // row-locality signal of the whole campaign. Set under the lock, so
+    // the last value written is the latest total.
+    if (commands.accesses() > 0) {
+        metrics.gauge("dse.dram.hit_rate_ppm")
+            .set(static_cast<std::int64_t>(
+                1e6 * static_cast<double>(commands.rowHits) /
+                static_cast<double>(commands.accesses())));
+    }
+}
+
+dram::ChannelStats
+CycleTimelineBackend::commandTotals() const
+{
+    std::lock_guard<std::mutex> lock(commandsMutex);
+    return commands;
 }
 
 // ---------------------------------------------------------------- tiered ----
 
 TieredBackend::TieredBackend(const BackendContext &context,
                              const TieredPolicy &policy)
-    : screen(context), tierPolicy(policy), band_(policy.promotionBand)
+    : screen(context),
+      // The verify tier is the most accurate model configured: bank-level
+      // when the context carries traffic generators, else the derated
+      // timeline (the ideal one with an empty profile). Its rows archive
+      // as "tiered".
+      verify(context, "tiered",
+             context.dram.enabled() ? MemoryModel::Bank
+                                    : MemoryModel::Derated),
+      tierPolicy(policy), band_(policy.promotionBand)
 {
-    // The verify tier is the most accurate model configured: bank-level
-    // when the context carries traffic generators, else the contention
-    // engine (bit-identical to plain cycle with an empty profile).
-    if (context.dram.enabled())
-        verify = std::make_unique<DramBackend>(context);
-    else
-        verify = std::make_unique<ContentionBackend>(context);
     util::fatalIf(tierPolicy.promotionBand <= 0.0 ||
                       tierPolicy.promotionBand >= 1.0,
                   "TieredBackend: promotion band outside (0, 1)");
@@ -717,11 +639,7 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
 
     util::Telemetry &telemetry = util::Telemetry::instance();
     const bool telemetry_on = telemetry.enabled();
-    if (telemetry_on) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
+    util::Histogram *simulate_hist = countBatch(name(), points.size());
 
     // --- 1. Analytical screen (parallel; pure per point) ---
     // Rides the compiled-plan SoA batch kernel; bit-identical to
@@ -777,10 +695,6 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
         commit(i, std::move(evaluation));
     }
 
-    util::Histogram *simulate_hist =
-        telemetry_on
-            ? &telemetry.metrics().histogram("dse.simulate_s")
-            : nullptr;
     std::vector<double> cycleLatencyMs(promotedIndices.size(), 0.0);
     util::parallel_for(
         pool, promotedIndices.size(), [&](std::size_t p) {
@@ -789,9 +703,8 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
             {
                 util::TraceSpan span("dse.simulate", "dse");
                 util::ScopedTimer timer(simulate_hist);
-                evaluation = verify->evaluate(points[i]);
+                evaluation = verify.evaluate(points[i]);
             }
-            evaluation.backend = name(); // Verify-tier fidelity kept.
             cycleLatencyMs[p] = evaluation.latencyMs;
             commit(i, std::move(evaluation));
         });

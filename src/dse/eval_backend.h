@@ -9,39 +9,33 @@
  * backend and routes every cache miss through it, so the memoization,
  * batching and determinism machinery is shared by all cost models.
  *
- * Six backends ship in-tree, keyed in the BackendRegistry:
+ * Six registry names ship in-tree, over three implementations:
  *
- *  - "analytical": the closed-form AnalyticalEngine + NPU/SoC power
- *    stack - the historical DseEvaluator::compute() path, bit-identical
- *    to it. The default; fast enough to burn inside the DSE loop.
- *  - "quantized": the analytical stack with the precision search axis
- *    made explicit - same numbers, rows archive backend "quantized",
- *    and per-precision "dse.quantized.<label>.points" telemetry shows
- *    how the search spreads across int8/fp16/fp32 (pair with
- *    TaskSpec::precisions to widen the 8th design dimension).
- *  - "cycle": the same power stack on the cycle-stepped reference
- *    CycleEngine (explicit double-buffered prefetch timeline). Slower,
- *    higher fidelity; previously reachable only from the benches.
- *  - "tiered": cheap-screen / accurate-verify. Every point is screened
- *    analytically; only points whose screened objectives are
- *    Pareto-competitive (within a configurable hypervolume-contribution
- *    band of the running analytical front) are promoted to a
- *    cycle-accurate re-evaluation. Each Evaluation records which
- *    fidelity produced its archived numbers.
- *  - "contention": the cycle engine under the BackendContext's
- *    shared-DRAM ContentionProfile - fetch/writeback bandwidth derated
- *    by the background camera/host traffic, and that traffic charged
- *    to DRAM power. With an empty profile its numbers are bit-identical
- *    to "cycle". Each evaluation records the profile's bytes/s so a
- *    journaled run resumes under the profile it was written with.
- *  - "dram": the highest fidelity tier - the cycle timeline over a
- *    bank-level DRAM channel (dram::BankModel) shared with
- *    programmable camera/host traffic generators; latency comes from
- *    simulated per-request row hit/miss/conflict service times and
- *    DRAM power from actual activate/precharge/refresh counts. With no
- *    generators its numbers are bit-identical to "cycle". Each
- *    evaluation records the channel tag so a journaled run resumes
- *    under the channel it was written with.
+ *  - AnalyticalBackend ("analytical", "quantized"): the closed-form
+ *    AnalyticalEngine + NPU/SoC power stack - the historical
+ *    DseEvaluator::compute() path, bit-identical to it. The default;
+ *    fast enough to burn inside the DSE loop. "quantized" is the same
+ *    numbers under its own archived name, making the precision axis an
+ *    explicit choice (pair with TaskSpec::precisions); the evaluator
+ *    counts its points per operand width ("dse.quantized.<label>.points").
+ *  - CycleTimelineBackend ("cycle", "contention", "dram"): the same power
+ *    stack on the cycle-stepped prefetch/writeback timeline over one of
+ *    three memory models. "cycle" gives the NPU the whole channel;
+ *    "contention" derates fetch/writeback bandwidth by the context's
+ *    ContentionProfile and bills that traffic to DRAM power; "dram"
+ *    simulates a bank-level channel (dram::BankModel) shared with the
+ *    DramSpec's traffic generators and bills DRAM power from the
+ *    simulated command counts. An empty profile or a spec without
+ *    generators falls back to the whole-channel model, so those runs
+ *    are bit-identical to "cycle". Rows record the profile's bytes/s or
+ *    the channel tag, so a journaled run resumes under the memory model
+ *    it was written with.
+ *  - TieredBackend ("tiered"): cheap-screen / accurate-verify. Every
+ *    point is screened analytically; only points whose screened
+ *    objectives are Pareto-competitive (within a configurable
+ *    hypervolume-contribution band of the running analytical front) are
+ *    promoted to a cycle-timeline re-evaluation. Each Evaluation
+ *    records which fidelity produced its archived numbers.
  *
  * Determinism: analytical and cycle evaluations are pure functions of
  * the design point. The tiered promotion decision is stateful (it
@@ -71,9 +65,8 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
-
 #include "airlearning/database.h"
+#include "dram/bank_model.h"
 #include "dram/config.h"
 #include "dse/design_space.h"
 #include "dse/evaluation.h"
@@ -92,12 +85,12 @@ struct BackendContext
     /// Deployment scenario being designed for.
     airlearning::ObstacleDensity density =
         airlearning::ObstacleDensity::Low;
-    /// Background DRAM traffic sharing the NPU's channel. Only the
-    /// contention backend reads it; the default (empty) profile keeps
-    /// every other backend's results untouched.
+    /// Background DRAM traffic sharing the NPU's channel. Read by the
+    /// "contention" backend and the tiered verify tier; the default
+    /// (empty) profile keeps every backend's results untouched.
     systolic::ContentionProfile contention;
     /// Bank-level DRAM channel description (timing + traffic
-    /// generators). Read by the dram backend and, when enabled, by the
+    /// generators). Read by the "dram" backend and, when enabled, by the
     /// tiered verify tier; the default (no generators) keeps every
     /// backend's results untouched. Mutually exclusive with a
     /// non-empty contention profile - the two encode the same
@@ -161,10 +154,10 @@ class EvalBackend
 /**
  * String-keyed backend factory registry.
  *
- * The three in-tree backends are pre-registered; anything else (a
- * quantized-NN variant, a DRAM-contention model, a remote simulator
- * shim) plugs in through registerFactory() and becomes reachable from
- * TaskSpec::backend without touching the evaluator.
+ * The six in-tree backend names are pre-registered; anything else (a
+ * remote simulator shim, a new memory model) plugs in through
+ * registerFactory() and becomes reachable from TaskSpec::backend
+ * without touching the evaluator.
  */
 class BackendRegistry
 {
@@ -213,14 +206,18 @@ std::unique_ptr<EvalBackend> makeBackend(const std::string &name,
  * thread-local util::Arena scratch, then lowered through the batched
  * power entry point - bit-identical to the scalar path by construction
  * and pinned by test_batch_kernel.cc / test_backends.cc.
+ *
+ * Registered as "analytical" and as "quantized"; the two differ only in
+ * the name rows archive.
  */
 class AnalyticalBackend : public EvalBackend
 {
   public:
-    explicit AnalyticalBackend(const BackendContext &context);
+    explicit AnalyticalBackend(const BackendContext &context,
+                               std::string name = "analytical");
     ~AnalyticalBackend() override;
 
-    std::string name() const override { return "analytical"; }
+    std::string name() const override { return label; }
     Fidelity fidelity() const override { return Fidelity::Analytical; }
     Evaluation evaluate(const DesignPoint &point) override;
     void evaluateBatch(std::span<const DesignPoint> points,
@@ -229,10 +226,10 @@ class AnalyticalBackend : public EvalBackend
 
     /**
      * The batch path with screening instrumentation: identical results
-     * to evaluateBatch() (fidelity Analytical, backend "analytical"),
-     * but chunk timings go to @p screen_hist and the per-chunk trace
-     * spans are named "dse.screen". Used by TieredBackend's screen
-     * tier so the tiered pipeline rides the same SoA kernel.
+     * to evaluateBatch() (fidelity Analytical), but chunk timings go to
+     * @p screen_hist and the per-chunk trace spans are named
+     * "dse.screen". Used by TieredBackend's screen tier so the tiered
+     * pipeline rides the same SoA kernel.
      */
     void screenBatch(std::span<const DesignPoint> points,
                      util::ThreadPool *pool, std::span<Evaluation> out,
@@ -247,158 +244,145 @@ class AnalyticalBackend : public EvalBackend
                        const char *span_name);
 
     BackendContext ctx;
+    std::string label;
     /// Compiled plans per policy (<= |PolicySpace| = 27 entries),
     /// built on first use behind a mutex.
     std::unique_ptr<PlanCache> plans;
 };
 
-/**
- * Precision-aware analytical backend for quantized-inference search.
- *
- * Numerically identical to AnalyticalBackend - every backend already
- * prices the design point's bytesPerElement (traffic, MAC/SRAM energy,
- * fold occupancy) and recovers the Phase 1 quantization penalty at
- * wider precisions - so this subclass exists to make the precision axis
- * an explicit, named choice: rows archive backend "quantized", and each
- * batch additionally bumps per-precision "dse.quantized.<label>.points"
- * counters so telemetry shows how the search spreads across int8/fp16/
- * fp32. Pair it with TaskSpec::precisions to widen the 8th dimension;
- * with the default int8-only axis it is bit-identical to "analytical"
- * except for the archived backend name.
- */
-class QuantizedBackend : public AnalyticalBackend
+/** How a CycleTimelineBackend models the NPU's DRAM channel. */
+enum class MemoryModel
 {
-  public:
-    explicit QuantizedBackend(const BackendContext &context);
-
-    std::string name() const override { return "quantized"; }
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
-};
-
-/** Cycle-stepped reference engine + the same power stack. */
-class CycleBackend : public EvalBackend
-{
-  public:
-    explicit CycleBackend(const BackendContext &context);
-
-    std::string name() const override { return "cycle"; }
-    Fidelity fidelity() const override { return Fidelity::CycleAccurate; }
-    Evaluation evaluate(const DesignPoint &point) override;
-
-  private:
-    BackendContext ctx;
+    /// The NPU owns the channel: flat bytes-over-bandwidth transfers.
+    Ideal,
+    /// Transfers derated by the context's ContentionProfile, whose
+    /// background bytes/s are also billed to DRAM power.
+    Derated,
+    /// Transfers simulated on the bank-level channel of the context's
+    /// DramSpec, interleaved with its traffic generators; DRAM power is
+    /// billed from the simulated command counts instead of the flat
+    /// model, so background traffic is never charged twice.
+    Bank,
 };
 
 /**
- * Cycle-stepped engine under a shared-DRAM contention profile.
+ * Cycle-stepped reference timeline (explicit double-buffered prefetch)
+ * + the same power stack, over one MemoryModel.
  *
- * The profile comes from the BackendContext (plumbed from
- * TaskSpec/campaign flags); designs pay both the latency of the
- * derated channel and the DRAM power of the background traffic. Pure
- * per point like CycleBackend - the profile is fixed for the backend's
- * lifetime - so the default batched path applies unchanged.
+ * The memory model is fixed at construction, from the registry name and
+ * never from the context: "cycle" ignores a configured profile or spec.
+ * A Derated model with an empty profile, or a Bank model whose spec has
+ * no generators, is normalised to Ideal - the bit-identity contract
+ * test_backends.cc / test_dram.cc pin. Ideal and Derated rows archive
+ * Fidelity::CycleAccurate and the profile's bytes/s; Bank rows archive
+ * Fidelity::BankAccurate and the channel tag.
  *
- * Telemetry: besides the shared "dse.backend.contention.points"
- * counter, each batch sets the "dse.backend.contention.background_bps"
- * gauge to the profile's background rate.
+ * Pure per point (the memory model is fixed for the backend's
+ * lifetime), so the default batched path applies unchanged and results
+ * are byte-identical at any thread count.
+ *
+ * Telemetry: a Derated backend sets the
+ * "dse.backend.contention.background_bps" gauge. A Bank backend folds
+ * each evaluation's command counts into "dse.dram.row_hits" /
+ * "dse.dram.row_misses" / "dse.dram.row_conflicts" /
+ * "dse.dram.refreshes" and per-generator "dse.dram.gen.<name>.requests"
+ * counters, keeps the "dse.dram.hit_rate_ppm" gauge at the running hit
+ * rate, and wraps each evaluation in per-generator "dram.gen.<name>"
+ * trace spans.
  */
-class ContentionBackend : public EvalBackend
+class CycleTimelineBackend : public EvalBackend
 {
   public:
-    explicit ContentionBackend(const BackendContext &context);
+    /**
+     * @param name   Registry name archived on every row.
+     * @param memory Requested memory model. A Derated model validates
+     *               the context's profile and a Bank model its spec
+     *               (fatal with the diagnosis on degenerate values)
+     *               before the empty-to-Ideal normalisation.
+     */
+    CycleTimelineBackend(const BackendContext &context, std::string name,
+                         MemoryModel memory);
 
-    std::string name() const override { return "contention"; }
-    Fidelity fidelity() const override { return Fidelity::CycleAccurate; }
-    Evaluation evaluate(const DesignPoint &point) override;
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
-
-    const systolic::ContentionProfile &profile() const
-    {
-        return ctx.contention;
-    }
-
-  private:
-    BackendContext ctx;
-};
-
-/**
- * Cycle-stepped engine over the bank-level DRAM channel: the highest
- * fidelity tier, above "contention".
- *
- * The DramSpec comes from the BackendContext (plumbed from
- * TaskSpec/campaign flags). Where the contention backend derates one
- * aggregate bandwidth number, this backend simulates the channel:
- * every NPU prefetch/writeback is split into bursts, classified per
- * bank (row hit/miss/conflict, refresh stalls) and interleaved with
- * the programmable background generators in deterministic arrival
- * order (dram::ChannelTimeline), so effective latency comes from
- * simulated per-request service times. DRAM power is charged from the
- * actual activate/precharge/refresh/byte counts
- * (power::DramModel::commandPowerMw) INSTEAD of the flat
- * background-bytes/s surcharge - the background streams are billed
- * exactly once, through the commands they really issued. The
- * contention profile in the context is ignored by construction (the
- * AutoPilot task layer rejects specs that set both).
- *
- * With no generators configured the backend reproduces the pure-cycle
- * path bit for bit: the engine delegates to systolic::CycleEngine and
- * power takes the plain flat path with zero background traffic.
- *
- * Pure per point (the spec is fixed for the backend's lifetime), so
- * the default batched path applies unchanged and results are
- * byte-identical at any thread count.
- *
- * Telemetry: besides the shared "dse.backend.dram.points" counter,
- * each batch folds the simulated command counts into
- * "dse.dram.row_hits" / "dse.dram.row_misses" / "dse.dram.row_conflicts"
- * / "dse.dram.refreshes", per-generator request counters
- * "dse.dram.gen.<name>.requests", and sets the "dse.dram.hit_rate_ppm"
- * gauge; per-generator trace spans ("dram.gen.<name>") wrap each
- * simulated evaluation.
- */
-class DramBackend : public EvalBackend
-{
-  public:
-    explicit DramBackend(const BackendContext &context);
-
-    std::string name() const override { return "dram"; }
+    std::string name() const override { return label; }
     Fidelity fidelity() const override
     {
-        return ctx.dram.enabled() ? Fidelity::BankAccurate
-                                  : Fidelity::CycleAccurate;
+        return memory == MemoryModel::Bank ? Fidelity::BankAccurate
+                                           : Fidelity::CycleAccurate;
     }
     Evaluation evaluate(const DesignPoint &point) override;
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
 
-    const dram::DramSpec &spec() const { return ctx.dram; }
-
-    /** Command counters accumulated across every evaluation since
-     * construction (monotonic; thread-safe). */
-    std::int64_t rowHits() const { return rowHits_.load(); }
-    std::int64_t rowMisses() const { return rowMisses_.load(); }
-    std::int64_t rowConflicts() const { return rowConflicts_.load(); }
-    std::int64_t refreshes() const { return refreshes_.load(); }
-    std::int64_t activates() const { return activates_.load(); }
-    std::int64_t channelBytes() const { return channelBytes_.load(); }
+    /** Bank-model command counters accumulated across every evaluation
+     * since construction (monotonic; thread-safe; zero unless Bank). */
+    dram::ChannelStats commandTotals() const;
+    std::int64_t rowHits() const { return commandTotals().rowHits; }
+    std::int64_t rowMisses() const { return commandTotals().rowMisses; }
+    std::int64_t rowConflicts() const
+    {
+        return commandTotals().rowConflicts;
+    }
+    std::int64_t refreshes() const { return commandTotals().refreshes; }
+    std::int64_t activates() const { return commandTotals().activates; }
+    std::int64_t channelBytes() const
+    {
+        return commandTotals().totalBytes();
+    }
 
   private:
+    /// Fold one evaluation's command counts into the totals and the
+    /// dse.dram.* telemetry.
+    void foldCommands(const dram::ChannelStats &stats);
+
+    /// Holds only the memory model's own parameters: the profile when
+    /// Derated, the spec when Bank, neither when Ideal.
     BackendContext ctx;
+    std::string label;
+    MemoryModel memory;
     /// Stable per-generator trace-span names ("dram.gen.<name>");
     /// TraceSpan keeps the char pointer, so the strings must outlive
     /// every span.
     std::vector<std::string> genSpanNames;
-    std::atomic<std::int64_t> rowHits_{0};
-    std::atomic<std::int64_t> rowMisses_{0};
-    std::atomic<std::int64_t> rowConflicts_{0};
-    std::atomic<std::int64_t> refreshes_{0};
-    std::atomic<std::int64_t> activates_{0};
-    std::atomic<std::int64_t> channelBytes_{0};
+    mutable std::mutex commandsMutex;
+    dram::ChannelStats commands; ///< Guarded by commandsMutex.
+};
+
+/*
+ * The historical backend types. Each is exactly one registry name over
+ * one of the implementations above; they stay as named types because
+ * callers (tests, benches, perfbench) construct backends by type.
+ */
+
+/** "quantized": AnalyticalBackend under its own archived name. */
+class QuantizedBackend : public AnalyticalBackend
+{
+  public:
+    explicit QuantizedBackend(const BackendContext &context)
+        : AnalyticalBackend(context, "quantized") {}
+};
+
+/** "cycle": the cycle timeline, NPU owning the channel. */
+class CycleBackend : public CycleTimelineBackend
+{
+  public:
+    explicit CycleBackend(const BackendContext &context)
+        : CycleTimelineBackend(context, "cycle", MemoryModel::Ideal) {}
+};
+
+/** "contention": the cycle timeline under the context's profile. */
+class ContentionBackend : public CycleTimelineBackend
+{
+  public:
+    explicit ContentionBackend(const BackendContext &context)
+        : CycleTimelineBackend(context, "contention", MemoryModel::Derated)
+    {
+    }
+};
+
+/** "dram": the cycle timeline over the context's bank-level channel. */
+class DramBackend : public CycleTimelineBackend
+{
+  public:
+    explicit DramBackend(const BackendContext &context)
+        : CycleTimelineBackend(context, "dram", MemoryModel::Bank) {}
 };
 
 /** Tiered-promotion policy knobs. */
@@ -452,7 +436,7 @@ struct TieredPolicy
  * Pareto front, then test each screened point against that front and
  * mark the competitive ones for promotion (deciding after absorption
  * keeps an immature early-batch front from over-promoting);
- * (3) re-evaluate the promoted points on the cycle engine in
+ * (3) re-evaluate the promoted points on the cycle timeline in
  * parallel. Non-promoted points archive their analytical numbers with
  * Fidelity::Analytical; promoted ones archive cycle numbers with
  * Fidelity::CycleAccurate - so downstream consumers always know which
@@ -511,13 +495,13 @@ class TieredBackend : public EvalBackend
     void foldError(double analyticalLatencyMs, double cycleLatencyMs);
 
     AnalyticalBackend screen;
-    /// The verify tier: the bank-level DramBackend when the context's
+    /// The verify tier: the Bank memory model when the context's
     /// DramSpec is enabled (only knee-adjacent promoted designs pay
-    /// bank-level simulation), else the ContentionBackend under the
+    /// bank-level simulation), else the Derated model under the
     /// context's contention profile - which with the default empty
-    /// profile is bit-identical to CycleBackend. Promoted rows archive
-    /// the verify tier's fidelity (BankAccurate or CycleAccurate).
-    std::unique_ptr<EvalBackend> verify;
+    /// profile is the Ideal model. Promoted rows archive the verify
+    /// tier's fidelity (BankAccurate or CycleAccurate).
+    CycleTimelineBackend verify;
     TieredPolicy tierPolicy;
 
     mutable std::mutex stateMutex;

@@ -1,5 +1,7 @@
 #include "dse/evaluator.h"
 
+#include <map>
+
 #include "dse/eval_backend.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -160,6 +162,19 @@ DseEvaluator::evaluateBatch(std::span<const Encoding> encodings)
         for (const Claim &claim : claimed)
             points.push_back(
                 designSpace.decode(claim.node->evaluation.encoding));
+        if (telemetry_on && evalBackend->name() == "quantized") {
+            // Per-precision spread of the simulated points: how the
+            // search splits its budget across the int8/fp16/fp32 axis.
+            std::map<int, std::uint64_t> perWidth;
+            for (const DesignPoint &point : points)
+                ++perWidth[point.accel.bytesPerElement];
+            for (const auto &[width, count] : perWidth) {
+                telemetry.metrics()
+                    .counter("dse.quantized." +
+                             systolic::precisionName(width) + ".points")
+                    .add(count);
+            }
+        }
         evalBackend->evaluateBatch(
             points, workers,
             [this, &claimed](std::size_t i, Evaluation &&evaluation) {

@@ -1,7 +1,9 @@
 #include "io/csv.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
@@ -127,13 +129,13 @@ tryParseDouble(const std::string &text, double &value)
 std::string
 tryParseInt(const std::string &text, int &value)
 {
-    std::string reason = checkNumericField(text, "integer");
+    long long parsed = 0;
+    const std::string reason = tryParseInt64(text, parsed);
     if (!reason.empty())
         return reason;
-    char *end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        return "bad integer '" + text + "'";
+    if (parsed < std::numeric_limits<int>::min() ||
+        parsed > std::numeric_limits<int>::max())
+        return "bad integer '" + text + "' (outside the int range)";
     value = static_cast<int>(parsed);
     return {};
 }
@@ -145,9 +147,12 @@ tryParseInt64(const std::string &text, long long &value)
     if (!reason.empty())
         return reason;
     char *end = nullptr;
+    errno = 0;
     const long long parsed = std::strtoll(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0')
         return "bad integer '" + text + "'";
+    if (errno == ERANGE)
+        return "bad integer '" + text + "' (outside the 64-bit range)";
     value = parsed;
     return {};
 }

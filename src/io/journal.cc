@@ -110,11 +110,7 @@ EvalJournalWriter::EvalJournalWriter(
     util::fatalIf(!out, "EvalJournalWriter: cannot open '" + path +
                             "' for writing");
     writeFingerprintLine(out, fingerprint);
-    const std::vector<std::string> &header =
-        precisionColumn ? dsePrecisionArchiveHeader()
-                        : dseArchiveHeader();
-    for (std::size_t i = 0; i < header.size(); ++i)
-        out << header[i] << (i + 1 == header.size() ? "\n" : ",");
+    writeDseArchiveHeader(precisionColumn, out);
     for (const dse::Evaluation &eval : replayed)
         writeDseArchiveRow(eval, out);
     out.flush();

@@ -1,10 +1,13 @@
 #include "io/persistence.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -84,63 +87,63 @@ const std::vector<std::string> databaseHeader = {
     "density",      "success_rate", "model_params",
     "model_macs",   "training_steps", "converged"};
 
+/// One DSE archive CSV column: its name, and the value a row written
+/// before the column existed reads as (empty for the original twelve,
+/// which every layout carries).
+struct ArchiveColumn
+{
+    const char *name;
+    const char *fallback;
+};
+
+/**
+ * The archive column table. Every layout ever written is a prefix of it
+ * (see archiveWidths); columns were only ever appended, so a short row
+ * decodes as the full row with the missing tail set to its defaults.
+ */
+constexpr ArchiveColumn archiveColumns[] = {
+    {"layers_idx", ""},  {"filters_idx", ""}, {"pe_rows_idx", ""},
+    {"pe_cols_idx", ""}, {"ifmap_idx", ""},   {"filter_idx", ""},
+    {"ofmap_idx", ""},   {"success_rate", ""}, {"npu_power_w", ""},
+    {"soc_power_w", ""}, {"latency_ms", ""},  {"fps", ""},
+    // Backend layer: older rows are analytical evaluations.
+    {"backend", "analytical"}, {"fidelity", "analytical"},
+    // Contention backend: older rows saw no background traffic.
+    {"contention_bps", "0"},
+    // Mission mix: older rows are the legacy single-scenario workload.
+    {"scenario", "-"},
+    // Bank-level DRAM: older rows had no bank simulation.
+    {"dram", "-"},
+    // Operand precision label; written only when the precision axis is
+    // searchable, so single-precision archives keep the 17-column
+    // layout byte for byte.
+    {"precision", "-"},
+};
+
+/// Column counts of the layouts written so far, oldest first: the only
+/// header widths a reader accepts.
+constexpr std::size_t archiveWidths[] = {12, 14, 15, 16, 17, 18};
+
+/// The trailing precision label: the only column a written row omits.
+constexpr std::size_t precisionColumn = std::size(archiveColumns) - 1;
+
 /// Encoding columns of every archive layout: the seven legacy choice
-/// indices. The 8th design dimension (precision) is archived as a
+/// indices. The 8th design dimension (precision) is archived as the
 /// trailing LABEL column instead of an index - an index would be
 /// ambiguous across precision sets ({1,2} and {1,2,4} number fp16
 /// differently), and keeping the encoding columns fixed at seven is
 /// what lets pre-precision journals replay byte-identically.
 constexpr std::size_t encodedColumns = 7;
 
-/// Precision-axis archive layout: the 17-column layout plus a trailing
-/// operand-precision label ("int8"/"fp16"/"fp32"). Written only when
-/// the precision axis is searchable; single-precision runs keep the
-/// 17-column layout below so their archives stay byte-identical.
-const std::vector<std::string> precisionArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps", "scenario",
-    "dram",        "precision"};
-
-const std::vector<std::string> archiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps", "scenario",
-    "dram"};
-
-/// Pre-dram archive layout: scenario but no bank-level channel column;
-/// such rows load with the default "-" (no bank simulation) tag.
-const std::vector<std::string> legacyScenarioArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps", "scenario"};
-
-/// Pre-airframe archive layout: contention but no mission-mix scenario
-/// column; such rows load with the default "-" (legacy single-scenario
-/// workload) tag.
-const std::vector<std::string> legacyContentionArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps"};
-
-/// Pre-contention-backend archive layout: backend/fidelity but no
-/// contention column; such rows load with zero background traffic.
-const std::vector<std::string> legacyBackendArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx", "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",   "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",  "fps",
-    "backend",     "fidelity"};
-
-/// Pre-backend-layer archive layout: no backend/fidelity columns.
-/// Still readable; such rows load as analytical-fidelity evaluations.
-const std::vector<std::string> legacyArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx", "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",   "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",  "fps"};
+/** The first @p width column names of the table. */
+std::vector<std::string>
+archiveHeaderOfWidth(std::size_t width)
+{
+    std::vector<std::string> header;
+    for (std::size_t c = 0; c < width; ++c)
+        header.emplace_back(archiveColumns[c].name);
+    return header;
+}
 
 bool
 densityFromName(const std::string &name,
@@ -204,66 +207,72 @@ failAt(ParseDiag &diag, const LineReader &reader,
 }
 
 /**
- * Decode one archive row (already width-checked against its header's
- * column set, so row.size() distinguishes the three layouts).
- * Returns the reason on a malformed field, empty on success.
+ * Decode one archive row (already width-checked against its header),
+ * padding the columns its layout lacks with their defaults. Returns the
+ * reason, naming the column, on a malformed field; empty on success.
  */
 std::string
-tryDecodeArchiveRow(const std::vector<std::string> &row,
+tryDecodeArchiveRow(std::vector<std::string> row,
                     const dse::DesignSpace &space, dse::Evaluation &eval)
 {
-    // Seven index columns in every layout; the precision dimension
-    // arrives (if at all) as the trailing label column handled below.
+    const std::size_t present = row.size();
+    for (std::size_t c = present; c < std::size(archiveColumns); ++c)
+        row.emplace_back(archiveColumns[c].fallback);
+    const auto fail = [](std::size_t column, const std::string &reason) {
+        return std::string(archiveColumns[column].name) + ": " + reason;
+    };
+
+    // Seven index columns in every layout, range-checked here so a
+    // corrupt index is a diagnosis rather than a fatal decode; the
+    // precision dimension arrives (if at all) as the trailing label.
     eval.encoding.fill(0);
     for (std::size_t d = 0; d < encodedColumns; ++d) {
-        const std::string reason = tryParseInt(row[d], eval.encoding[d]);
+        std::string reason = tryParseInt(row[d], eval.encoding[d]);
+        const int size = space.dimensionSizes()[d];
+        if (reason.empty() &&
+            (eval.encoding[d] < 0 || eval.encoding[d] >= size))
+            reason = "index " + row[d] + " outside [0, " +
+                     std::to_string(size) + ")";
         if (!reason.empty())
-            return reason;
+            return fail(d, reason);
     }
-    std::string reason = tryParseDouble(row[7], eval.successRate);
-    if (reason.empty())
-        reason = tryParseDouble(row[8], eval.npuPowerW);
-    if (reason.empty())
-        reason = tryParseDouble(row[9], eval.socPowerW);
-    if (reason.empty())
-        reason = tryParseDouble(row[10], eval.latencyMs);
-    if (reason.empty())
-        reason = tryParseDouble(row[11], eval.fps);
+    double *const metrics[] = {&eval.successRate, &eval.npuPowerW,
+                               &eval.socPowerW, &eval.latencyMs,
+                               &eval.fps};
+    for (std::size_t m = 0; m < std::size(metrics); ++m) {
+        const std::size_t column = encodedColumns + m;
+        const std::string reason = tryParseDouble(row[column], *metrics[m]);
+        if (!reason.empty())
+            return fail(column, reason);
+    }
+    eval.backend = row[12];
+    if (!dse::tryFidelityFromName(row[13], eval.fidelity))
+        return fail(13, "unknown fidelity '" + row[13] + "'");
+    std::string reason = tryParseDouble(row[14], eval.contentionBytesPerSec);
+    if (reason.empty() && (!(eval.contentionBytesPerSec >= 0.0) ||
+                           !std::isfinite(eval.contentionBytesPerSec)))
+        reason = "contention bytes/s must be finite and >= 0";
     if (!reason.empty())
-        return reason;
-    if (row.size() > legacyArchiveHeader.size()) {
-        eval.backend = row[12];
-        if (!dse::tryFidelityFromName(row[13], eval.fidelity))
-            return "unknown fidelity '" + row[13] + "'";
-    }
-    if (row.size() > legacyBackendArchiveHeader.size()) {
-        reason = tryParseDouble(row[14], eval.contentionBytesPerSec);
-        if (!reason.empty())
-            return reason;
-        if (!(eval.contentionBytesPerSec >= 0.0) ||
-            !std::isfinite(eval.contentionBytesPerSec))
-            return "contention bytes/s must be finite and >= 0";
-    }
-    if (row.size() > legacyContentionArchiveHeader.size()) {
-        if (row[15].empty())
-            return "empty scenario tag";
-        eval.scenario = row[15];
-    }
-    if (row.size() > legacyScenarioArchiveHeader.size()) {
-        if (row[16].empty())
-            return "empty dram channel tag";
-        eval.dramKey = row[16];
-    }
+        return fail(14, reason);
+    if (row[15].empty())
+        return fail(15, "empty scenario tag");
+    eval.scenario = row[15];
+    if (row[16].empty())
+        return fail(16, "empty dram channel tag");
+    eval.dramKey = row[16];
+
     eval.point = space.decode(eval.encoding);
-    if (row.size() > archiveHeader.size()) {
+    if (present > precisionColumn) {
         // Precision label column: decode through the default space
         // first (index 0 = int8), then override the operand width from
         // the archived label - the label, not an index, is what stays
         // unambiguous across precision sets.
         int width = 0;
-        if (!systolic::precisionFromName(row[17], width))
-            return "unknown precision '" + row[17] + "'";
-        eval.precision = row[17];
+        const std::string &label = row[precisionColumn];
+        if (!systolic::precisionFromName(label, width))
+            return fail(precisionColumn,
+                        "unknown precision '" + label + "'");
+        eval.precision = label;
         eval.point.accel.bytesPerElement = width;
     }
     eval.objectives = {1.0 - eval.successRate, eval.socPowerW,
@@ -323,8 +332,10 @@ tryReadPolicyDatabase(std::istream &is, ParseDiag &diag)
             reason = "unknown density '" + row[3] + "'";
         if (reason.empty())
             reason = tryParseDouble(row[4], record.successRate);
-        if (reason.empty() && (record.successRate < 0.0 ||
-                               record.successRate > 1.0))
+        // !(0 <= x <= 1) instead of x < 0 || x > 1: NaN must not slip
+        // through.
+        if (reason.empty() && !(record.successRate >= 0.0 &&
+                                record.successRate <= 1.0))
             reason = "success rate outside [0, 1]";
         long long parsed64 = 0;
         if (reason.empty() &&
@@ -363,23 +374,39 @@ readPolicyDatabase(std::istream &is)
 const std::vector<std::string> &
 dseArchiveHeader()
 {
-    return archiveHeader;
-}
-
-const std::vector<std::vector<std::string>> &
-dseArchiveAcceptedHeaders()
-{
-    static const std::vector<std::vector<std::string>> accepted = {
-        precisionArchiveHeader, archiveHeader,
-        legacyScenarioArchiveHeader, legacyContentionArchiveHeader,
-        legacyBackendArchiveHeader, legacyArchiveHeader};
-    return accepted;
+    static const std::vector<std::string> header =
+        archiveHeaderOfWidth(precisionColumn);
+    return header;
 }
 
 const std::vector<std::string> &
 dsePrecisionArchiveHeader()
 {
-    return precisionArchiveHeader;
+    static const std::vector<std::string> header =
+        archiveHeaderOfWidth(std::size(archiveColumns));
+    return header;
+}
+
+const std::vector<std::vector<std::string>> &
+dseArchiveAcceptedHeaders()
+{
+    static const std::vector<std::vector<std::string>> accepted = [] {
+        std::vector<std::vector<std::string>> headers;
+        for (auto width = std::rbegin(archiveWidths);
+             width != std::rend(archiveWidths); ++width)
+            headers.push_back(archiveHeaderOfWidth(*width));
+        return headers;
+    }();
+    return accepted;
+}
+
+void
+writeDseArchiveHeader(bool precisionLabels, std::ostream &os)
+{
+    const std::vector<std::string> &header =
+        precisionLabels ? dsePrecisionArchiveHeader() : dseArchiveHeader();
+    for (std::size_t i = 0; i < header.size(); ++i)
+        os << header[i] << (i + 1 == header.size() ? "\n" : ",");
 }
 
 void
@@ -411,12 +438,8 @@ writeDseArchive(const std::vector<dse::Evaluation> &archive,
     // Precision-labelled rows select the wider layout; a run labels
     // either every row or none (the evaluator stamps labels only when
     // the axis is searchable), so checking the first row suffices.
-    const bool precisionColumn =
-        !archive.empty() && archive.front().precision != "-";
-    const std::vector<std::string> &header =
-        precisionColumn ? precisionArchiveHeader : archiveHeader;
-    for (std::size_t i = 0; i < header.size(); ++i)
-        os << header[i] << (i + 1 == header.size() ? "\n" : ",");
+    writeDseArchiveHeader(
+        !archive.empty() && archive.front().precision != "-", os);
     for (const dse::Evaluation &eval : archive)
         writeDseArchiveRow(eval, os);
 }
@@ -432,33 +455,25 @@ tryReadDseArchive(std::istream &is, ParseDiag &diag)
         diag = {false, 1, "empty stream"};
         return archive;
     }
+    const auto &accepted = dseArchiveAcceptedHeaders();
     const std::vector<std::string> header = splitCsvLine(line);
-    std::size_t width = archiveHeader.size();
-    if (header == legacyArchiveHeader)
-        width = legacyArchiveHeader.size();
-    else if (header == legacyBackendArchiveHeader)
-        width = legacyBackendArchiveHeader.size();
-    else if (header == legacyContentionArchiveHeader)
-        width = legacyContentionArchiveHeader.size();
-    else if (header == legacyScenarioArchiveHeader)
-        width = legacyScenarioArchiveHeader.size();
-    else if (header == precisionArchiveHeader)
-        width = precisionArchiveHeader.size();
-    else if (header != archiveHeader) {
+    if (std::find(accepted.begin(), accepted.end(), header) ==
+        accepted.end()) {
         failAt(diag, reader, "unexpected header '" + line + "'");
         return archive;
     }
+    const std::size_t width = header.size();
     while (reader.next(line)) {
         if (line.empty())
             continue;
-        const std::vector<std::string> row = splitCsvLine(line);
+        std::vector<std::string> row = splitCsvLine(line);
         if (row.size() != width) {
             failAt(diag, reader, "ragged row '" + line + "'");
             return archive;
         }
         dse::Evaluation eval;
         const std::string reason =
-            tryDecodeArchiveRow(row, space, eval);
+            tryDecodeArchiveRow(std::move(row), space, eval);
         if (!reason.empty()) {
             failAt(diag, reader, reason);
             return archive;

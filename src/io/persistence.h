@@ -81,26 +81,39 @@ airlearning::PolicyDatabase readPolicyDatabase(std::istream &is);
 airlearning::PolicyDatabase tryReadPolicyDatabase(std::istream &is,
                                                   ParseDiag &diag);
 
-/** The default DSE archive CSV column set (backend/fidelity/contention
- * and the mission-mix scenario tag included) - the layout of every
- * single-precision run. */
+/*
+ * DSE archive layout. One ordered column table defines every layout:
+ * the twelve original columns (seven choice indices, success rate,
+ * NPU/SoC power, latency, fps), then, in the order they were added,
+ * backend, fidelity, contention_bps, scenario, dram and precision. Each
+ * appended column has a default that rows written before it existed
+ * read as (analytical backend and fidelity, zero contention, scenario
+ * "-", dram "-", no precision label). A header is accepted only when it
+ * is the table's prefix at one of the widths ever written - 12, 14, 15,
+ * 16, 17 or 18 columns - so every older archive and journal still loads
+ * while anything else (a reordered or partial header) is rejected.
+ */
+
+/** The 17-column layout every single-precision run writes. */
 const std::vector<std::string> &dseArchiveHeader();
 
-/** The precision-axis archive layout: dseArchiveHeader() plus the
- * trailing operand-precision label column. Written whenever the Phase 2
- * precision axis is searchable (rows carry "int8"/"fp16"/"fp32"
- * labels). */
+/** The 18-column precision-axis layout: dseArchiveHeader() plus the
+ * trailing operand-precision label ("int8"/"fp16"/"fp32"), written
+ * whenever the Phase 2 precision axis is searchable. */
 const std::vector<std::string> &dsePrecisionArchiveHeader();
 
 /**
- * Every archive header this reader family accepts, current layout
- * first, then the legacy layouts back to the pre-backend 12-column
- * one. Suitable as the accepted_headers argument of io::readCsvAny, so
- * external tooling reads pre-airframe archives/journals exactly as
- * tryReadDseArchive does (missing columns take their defaults:
- * analytical fidelity, zero contention, scenario "-").
+ * Every archive header this reader family accepts, widest first, back
+ * to the pre-backend 12-column one. Suitable as the accepted_headers
+ * argument of io::readCsvAny, so external tooling reads older
+ * archives/journals exactly as tryReadDseArchive does.
  */
 const std::vector<std::vector<std::string>> &dseArchiveAcceptedHeaders();
+
+/** Write the archive header line: the precision layout when
+ * @p precisionLabels (rows carry precision labels), else the 17-column
+ * one. The layout decision of every archive and journal writer. */
+void writeDseArchiveHeader(bool precisionLabels, std::ostream &os);
 
 /** Write a Phase 2 evaluation archive as CSV. */
 void writeDseArchive(const std::vector<dse::Evaluation> &archive,
@@ -119,8 +132,9 @@ std::vector<dse::Evaluation> readDseArchive(std::istream &is);
 
 /**
  * Non-fatal readDseArchive: parse until the first malformed line
- * (torn final record, ragged row, bad number, unknown fidelity),
- * reporting it in @p diag and returning the evaluations before it.
+ * (torn final record, ragged row, bad number, out-of-range choice
+ * index, unknown fidelity), reporting it in @p diag - the reason names
+ * the column - and returning the evaluations before it.
  */
 std::vector<dse::Evaluation> tryReadDseArchive(std::istream &is,
                                                ParseDiag &diag);

@@ -12,6 +12,7 @@
 #include "dse/evaluator.h"
 #include "dse/random_search.h"
 #include "io/csv.h"
+#include "io/journal.h"
 #include "io/json.h"
 #include "io/persistence.h"
 
@@ -89,6 +90,40 @@ TEST(CsvDeath, ParseRejectsWhitespaceAndEmpty)
                 "bad integer.*empty");
     EXPECT_EXIT(io::parseInt64(" 7"), ::testing::ExitedWithCode(1),
                 "bad integer");
+}
+
+TEST(Csv, TryParseIntRejectsValuesOutsideTheIntRange)
+{
+    // strtol reads these as longs; narrowing them to int used to wrap
+    // silently ("4294967296" -> 0), turning a corrupt field into a
+    // plausible value.
+    for (const char *text : {"4294967296", "2147483648", "-2147483649",
+                             "99999999999999999999"}) {
+        int value = 7;
+        const std::string reason = io::tryParseInt(text, value);
+        EXPECT_NE(reason.find("outside"), std::string::npos)
+            << text << ": " << reason;
+        EXPECT_EQ(value, 7) << text;
+    }
+    int value = 0;
+    EXPECT_EQ(io::tryParseInt("2147483647", value), "");
+    EXPECT_EQ(value, 2147483647);
+    EXPECT_EQ(io::tryParseInt("-2147483648", value), "");
+    EXPECT_EQ(value, -2147483647 - 1);
+}
+
+TEST(Csv, TryParseInt64RejectsOverflow)
+{
+    long long value = 7;
+    for (const char *text :
+         {"99999999999999999999", "-99999999999999999999"}) {
+        const std::string reason = io::tryParseInt64(text, value);
+        EXPECT_NE(reason.find("outside"), std::string::npos)
+            << text << ": " << reason;
+        EXPECT_EQ(value, 7) << text;
+    }
+    EXPECT_EQ(io::tryParseInt64("9223372036854775807", value), "");
+    EXPECT_EQ(value, 9223372036854775807LL);
 }
 
 TEST(Csv, SplitToleratesTrailingCarriageReturn)
@@ -428,6 +463,80 @@ TEST(Persistence, TryReadPolicyDatabaseDiagnosesBadLine)
         << diag.reason;
 }
 
+TEST(Persistence, TryReadPolicyDatabaseRejectsNanSuccessRate)
+{
+    // NaN compares false against both bounds, so a plain range check
+    // let it through as a valid record.
+    std::istringstream is(
+        "policy_id,layers,filters,density,success_rate,model_params,"
+        "model_macs,training_steps,converged\n"
+        "p1,5,32,low,0.9,100,200,1000,1\n"
+        "p2,5,48,low,nan,100,200,1000,1\n");
+    io::ParseDiag diag;
+    const al::PolicyDatabase db = io::tryReadPolicyDatabase(is, diag);
+    EXPECT_EQ(db.size(), 1u);
+    EXPECT_FALSE(diag.ok);
+    EXPECT_EQ(diag.line, 3u);
+    EXPECT_NE(diag.reason.find("success rate"), std::string::npos)
+        << diag.reason;
+}
+
+TEST(Persistence, TryReadDseArchiveDiagnosesOutOfRangeIndex)
+{
+    // A corrupt choice index used to reach DesignSpace::decode and exit
+    // the process, losing every row before it.
+    const std::vector<dse::Evaluation> archive = {
+        madeEvaluation(0, dse::Fidelity::Analytical, "analytical"),
+        madeEvaluation(1, dse::Fidelity::Analytical, "analytical"),
+    };
+    std::stringstream buffer;
+    io::writeDseArchive(archive, buffer);
+    const std::string good = buffer.str();
+    const struct
+    {
+        const char *row;
+        const char *column;
+    } cases[] = {
+        {"9,1,0,1,0,1,0,0.5,1,2,3,4,analytical,analytical,0,-,-\n",
+         "layers_idx"},
+        {"0,1,0,-1,0,1,0,0.5,1,2,3,4,analytical,analytical,0,-,-\n",
+         "pe_cols_idx"},
+        {"0,1,0,1,0,1,4294967296,0.5,1,2,3,4,analytical,analytical,0,-,"
+         "-\n",
+         "ofmap_idx"},
+    };
+    for (const auto &bad : cases) {
+        std::istringstream is(good + bad.row);
+        io::ParseDiag diag;
+        const auto restored = io::tryReadDseArchive(is, diag);
+        EXPECT_EQ(restored.size(), 2u) << bad.row;
+        EXPECT_FALSE(diag.ok);
+        EXPECT_EQ(diag.line, 4u);
+        EXPECT_NE(diag.reason.find(bad.column), std::string::npos)
+            << diag.reason;
+    }
+}
+
+TEST(Persistence, JournalWithOutOfRangeIndexTruncatesAtTheBadRow)
+{
+    // The same corruption inside an evaluation journal: replay keeps
+    // the committed rows and reports the bad line instead of exiting.
+    std::stringstream buffer;
+    buffer << "fingerprint,abc123\n";
+    io::writeDseArchive(
+        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical"),
+         madeEvaluation(1, dse::Fidelity::Analytical, "analytical")},
+        buffer);
+    buffer << "9,1,0,1,0,1,0,0.5,1,2,3,4,analytical,analytical,0,-,-\n";
+    const io::JournalReplay replay = io::readEvalJournal(buffer);
+    EXPECT_TRUE(replay.found);
+    EXPECT_EQ(replay.entries.size(), 2u);
+    EXPECT_TRUE(replay.truncated);
+    EXPECT_EQ(replay.badLine, 5u);
+    EXPECT_NE(replay.reason.find("layers_idx"), std::string::npos)
+        << replay.reason;
+}
+
 TEST(Persistence, TryReadersAcceptCleanInput)
 {
     std::stringstream buffer;
@@ -653,6 +762,30 @@ TEST(Persistence, AcceptedHeadersCoverCurrentAndLegacyLayouts)
     EXPECT_EQ(headers[3].size(), headers[2].size() - 1);
     EXPECT_EQ(headers[4].back(), "fidelity");
     EXPECT_EQ(headers.back().size(), 12u);
+}
+
+TEST(Persistence, HeaderOutsideTheColumnTableIsRejected)
+{
+    // Only the column table's prefixes at the six historical widths are
+    // layouts; a 13-column header (backend without fidelity) and a
+    // reordered header are not, even though they name known columns.
+    std::vector<std::string> thirteen = io::dseArchiveHeader();
+    thirteen.resize(13);
+    std::vector<std::string> reordered = io::dseArchiveHeader();
+    std::swap(reordered[15], reordered[16]); // scenario <-> dram.
+    for (const std::vector<std::string> &header : {thirteen, reordered}) {
+        std::string line;
+        for (const std::string &column : header)
+            line += (line.empty() ? "" : ",") + column;
+        std::istringstream is(line + "\n");
+        io::ParseDiag diag;
+        const auto restored = io::tryReadDseArchive(is, diag);
+        EXPECT_TRUE(restored.empty());
+        EXPECT_FALSE(diag.ok);
+        EXPECT_EQ(diag.line, 1u);
+        EXPECT_NE(diag.reason.find("unexpected header"), std::string::npos)
+            << diag.reason;
+    }
 }
 
 // --------------------------------------------------------------- json ----

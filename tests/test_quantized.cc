@@ -42,6 +42,7 @@
 #include "power/pe_model.h"
 #include "systolic/engine.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace al = autopilot::airlearning;
@@ -51,6 +52,7 @@ namespace io = autopilot::io;
 namespace nn = autopilot::nn;
 namespace pw = autopilot::power;
 namespace sys = autopilot::systolic;
+namespace util = autopilot::util;
 namespace util = autopilot::util;
 namespace fs = std::filesystem;
 
@@ -437,6 +439,35 @@ TEST(QuantizedEvaluator, StampsPrecisionLabelsOnlyWhenAxisEnabled)
         EXPECT_EQ(eval.point.accel.bytesPerElement,
                   widened.space().precisionChoices()[idx]);
     }
+}
+
+TEST(QuantizedEvaluator, CountsSimulatedPointsPerPrecision)
+{
+    // The per-width counters cover the points a "quantized" evaluator
+    // sends to its backend: cache hits and other backends add nothing.
+    util::Telemetry &telemetry = util::Telemetry::instance();
+    telemetry.reset();
+    telemetry.setEnabled(true);
+    dse::DseEvaluator widened(sharedDatabase(),
+                              al::ObstacleDensity::Dense, "quantized",
+                              {}, {}, {1, 2, 4});
+    const std::vector<dse::Encoding> batch = {
+        {1, 1, 1, 1, 1, 1, 1, 0}, {1, 1, 1, 1, 1, 1, 1, 1},
+        {1, 1, 1, 1, 1, 1, 1, 1}, {2, 1, 1, 1, 1, 1, 1, 1},
+        {1, 1, 1, 1, 1, 1, 1, 2}, {1, 1, 1, 1, 1, 1, 1, 0}};
+    widened.evaluateBatch(batch);
+    widened.evaluateBatch(batch); // All hits.
+    dse::DseEvaluator analytical(sharedDatabase(),
+                                 al::ObstacleDensity::Dense, "analytical",
+                                 {}, {}, {1, 2, 4});
+    analytical.evaluateBatch(batch);
+
+    util::MetricsRegistry &metrics = telemetry.metrics();
+    EXPECT_EQ(metrics.counter("dse.quantized.int8.points").value(), 1u);
+    EXPECT_EQ(metrics.counter("dse.quantized.fp16.points").value(), 2u);
+    EXPECT_EQ(metrics.counter("dse.quantized.fp32.points").value(), 1u);
+    telemetry.reset();
+    telemetry.setEnabled(false);
 }
 
 // --------------------------------------------------- fingerprint ----
