@@ -91,6 +91,7 @@
 #include <vector>
 
 #include "dram/config.h"
+#include "io/csv.h"
 #include "runner/campaign.h"
 #include "runner/service.h"
 #include "systolic/config.h"
@@ -122,6 +123,28 @@ usage(const std::string &error)
               << "         [--workers N] [--poll SECONDS]"
                  " [--max-campaigns N]\n";
     std::exit(2);
+}
+
+/// The value of numeric flag @p flag, or usage() naming the flag.
+int
+intFlag(const std::string &flag, const std::string &text)
+{
+    int value = 0;
+    const std::string error = autopilot::io::tryParseInt(text, value);
+    if (!error.empty())
+        usage("bad " + flag + ": " + error);
+    return value;
+}
+
+/// The value of numeric flag @p flag, or usage() naming the flag.
+double
+doubleFlag(const std::string &flag, const std::string &text)
+{
+    double value = 0.0;
+    const std::string error = autopilot::io::tryParseDouble(text, value);
+    if (!error.empty())
+        usage("bad " + flag + ": " + error);
+    return value;
 }
 
 /// Drain source flipped by SIGINT/SIGTERM. cancel() is a lock-free
@@ -178,13 +201,13 @@ main(int argc, char **argv)
         } else if (arg == "--serve") {
             serveRoot = value(i);
         } else if (arg == "--max-active") {
-            maxActive = std::atoi(value(i).c_str());
+            maxActive = intFlag(arg, value(i));
         } else if (arg == "--workers") {
-            workers = std::atoi(value(i).c_str());
+            workers = intFlag(arg, value(i));
         } else if (arg == "--poll") {
-            pollSeconds = std::atof(value(i).c_str());
+            pollSeconds = doubleFlag(arg, value(i));
         } else if (arg == "--max-campaigns") {
-            maxCampaigns = std::atoi(value(i).c_str());
+            maxCampaigns = intFlag(arg, value(i));
         } else if (arg == "--resume") {
             resume = true;
             // Optional value: --resume DIR names the campaign root.
@@ -195,23 +218,23 @@ main(int argc, char **argv)
         } else if (arg == "--backend") {
             backend = value(i);
         } else if (arg == "--budget") {
-            budget = std::atoi(value(i).c_str());
+            budget = intFlag(arg, value(i));
         } else if (arg == "--episodes") {
-            episodes = std::atoi(value(i).c_str());
+            episodes = intFlag(arg, value(i));
         } else if (arg == "--threads") {
-            threads = std::atoi(value(i).c_str());
+            threads = intFlag(arg, value(i));
         } else if (arg == "--concurrency") {
-            concurrency = std::atoi(value(i).c_str());
+            concurrency = intFlag(arg, value(i));
         } else if (arg == "--deadline") {
-            deadlineSeconds = std::atof(value(i).c_str());
+            deadlineSeconds = doubleFlag(arg, value(i));
         } else if (arg == "--camera-mbps") {
-            cameraMbps = std::atof(value(i).c_str());
+            cameraMbps = doubleFlag(arg, value(i));
         } else if (arg == "--host-mbps") {
-            hostMbps = std::atof(value(i).c_str());
+            hostMbps = doubleFlag(arg, value(i));
         } else if (arg == "--npu-floor") {
-            npuFloor = std::atof(value(i).c_str());
+            npuFloor = doubleFlag(arg, value(i));
         } else if (arg == "--dram-banks") {
-            dramTiming.banks = std::atoi(value(i).c_str());
+            dramTiming.banks = intFlag(arg, value(i));
             hasDramFlag = true;
         } else if (arg == "--row-policy") {
             if (!dram::rowPolicyFromName(value(i),

@@ -1,7 +1,5 @@
 #include "dram/engine.h"
 
-#include <algorithm>
-
 #include "util/telemetry.h"
 
 namespace autopilot::dram
@@ -9,7 +7,7 @@ namespace autopilot::dram
 
 DramCycleEngine::DramCycleEngine(const systolic::AcceleratorConfig &config,
                                  const DramSpec &spec)
-    : cfg(config), dramSpec(spec), pureCycle(config)
+    : cfg(config), dramSpec(spec)
 {
     cfg.validate();
     dramSpec.validate();
@@ -25,7 +23,7 @@ systolic::LayerResult
 DramCycleEngine::runLayer(const nn::Layer &layer) const
 {
     if (!dramSpec.enabled())
-        return pureCycle.runLayer(layer);
+        return systolic::runFlatLayer(layer, cfg);
 
     util::Telemetry &telemetry = util::Telemetry::instance();
     util::ScopedTimer sim_timer(
@@ -33,61 +31,11 @@ DramCycleEngine::runLayer(const nn::Layer &layer) const
             ? &telemetry.metrics().histogram("dram.layer_sim_s")
             : nullptr);
 
-    const systolic::FoldSchedule schedule =
-        systolic::scheduleGemm(layer.gemm(), cfg);
-    const std::int64_t fold_count = schedule.foldCount();
-
     // Fresh per-layer channel: generator phase, bank rows and refresh
     // state reset so layers are independent of simulation order.
     ChannelTimeline channel(dramSpec, cfg);
-
-    // Same fold timeline as CycleEngine; only the transfer completions
-    // differ (simulated per burst instead of bytes / bandwidth).
-    std::int64_t dram_free = 0;
-    std::int64_t compute_done = 0;
-    std::int64_t compute_done_prev = 0;
-    std::int64_t compute_busy = 0;
-    std::int64_t last_writeback_done = 0;
-
-    for (std::int64_t f = 0; f < fold_count; ++f) {
-        const std::int64_t fetch_bytes =
-            systolic::foldFetchBytes(layer, schedule, cfg, f);
-        const std::int64_t wb_bytes =
-            systolic::foldWritebackBytes(layer, schedule, cfg, f);
-
-        const std::int64_t fetch_start =
-            std::max(dram_free, compute_done_prev);
-        const std::int64_t fetch_done =
-            channel.transfer(fetch_start, fetch_bytes, false);
-        dram_free = fetch_done;
-
-        const std::int64_t fold_cycles =
-            schedule.folds[static_cast<std::size_t>(f)].cycles;
-        const std::int64_t compute_start =
-            std::max(compute_done, fetch_done);
-        compute_done_prev = compute_done;
-        compute_done = compute_start + fold_cycles;
-        compute_busy += fold_cycles;
-
-        if (wb_bytes > 0) {
-            const std::int64_t wb_start =
-                std::max(dram_free, compute_done);
-            last_writeback_done =
-                channel.transfer(wb_start, wb_bytes, true);
-            dram_free = last_writeback_done;
-        }
-    }
-
-    systolic::LayerResult result;
-    result.layerName = layer.name;
-    result.gemm = layer.gemm();
-    result.rowFolds = schedule.rowFolds;
-    result.colFolds = schedule.colFolds;
-    result.computeCycles = compute_busy;
-    result.traffic = systolic::computeTraffic(layer, schedule, cfg);
-    result.totalCycles = std::max(compute_done, last_writeback_done);
-    result.stallCycles = result.totalCycles - result.computeCycles;
-
+    systolic::LayerResult result =
+        systolic::runFoldTimeline(layer, cfg, channel);
     runStats_.accumulate(channel.stats());
 
     if (telemetry.enabled()) {

@@ -2,16 +2,16 @@
  * @file
  * Cycle-stepped accelerator engine over the bank-level DRAM channel.
  *
- * Same fold timeline as systolic::CycleEngine - double-buffered
- * prefetch, writebacks behind the fetch stream - but fetch/writeback
- * completions come from a ChannelTimeline instead of a flat
+ * Runs systolic::runFoldTimeline() - the one double-buffered fold
+ * timeline, also behind systolic::CycleEngine and systolic::traceLayer()
+ * - with a ChannelTimeline as its channel instead of a flat
  * bytes-over-bandwidth ceiling: every transfer is split into bursts,
  * classified per bank (row hit/miss/conflict, refresh) and interleaved
  * with the background generators' requests in deterministic arrival
- * order. With no generators configured the engine delegates each layer
- * to a plain CycleEngine, so a disabled DramSpec is bit-identical to
- * the pure-cycle path - the backward-compatibility contract every
- * sidecar in this codebase follows.
+ * order. With no generators configured the timeline runs over the flat
+ * channel (systolic::runFlatLayer), so a disabled DramSpec is
+ * bit-identical to the pure-cycle path - the backward-compatibility
+ * contract every sidecar in this codebase follows.
  */
 
 #ifndef AUTOPILOT_DRAM_ENGINE_H
@@ -44,19 +44,15 @@ class DramCycleEngine : public systolic::Engine
 
     /**
      * Command/traffic counters accumulated across every layer simulated
-     * since construction (or the last resetRunStats()); generator state
-     * itself is per layer - each runLayer() opens a fresh
-     * ChannelTimeline, keeping layers independent and runs
-     * order-insensitive.
+     * since construction; generator state itself is per layer - each
+     * runLayer() opens a fresh ChannelTimeline, keeping layers
+     * independent and runs order-insensitive.
      */
     const ChannelStats &runStats() const { return runStats_; }
-    void resetRunStats() { runStats_ = {}; }
 
   private:
     systolic::AcceleratorConfig cfg;
     DramSpec dramSpec;
-    /// The exact integer-ceiling path for a disabled spec.
-    systolic::CycleEngine pureCycle;
     mutable ChannelStats runStats_;
 };
 

@@ -1,7 +1,5 @@
 #include "systolic/cycle_engine.h"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "util/logging.h"
@@ -38,6 +36,13 @@ CycleEngine::CycleEngine(const AcceleratorConfig &config,
 LayerResult
 CycleEngine::runLayer(const nn::Layer &layer) const
 {
+    return runFlatLayer(layer, cfg, bandwidthDerate);
+}
+
+LayerResult
+runFlatLayer(const nn::Layer &layer, const AcceleratorConfig &config,
+             double derate)
+{
     util::Telemetry &telemetry = util::Telemetry::instance();
     util::ScopedTimer sim_timer(
         telemetry.enabled()
@@ -45,67 +50,8 @@ CycleEngine::runLayer(const nn::Layer &layer) const
                   "systolic.cycle.layer_sim_s")
             : nullptr);
 
-    const FoldSchedule schedule = scheduleGemm(layer.gemm(), cfg);
-    const std::int64_t fold_count = schedule.foldCount();
-    const std::int64_t bw = cfg.dramBytesPerCycle;
-    const double derate = bandwidthDerate;
-
-    // The underated path must stay the exact integer ceiling so an
-    // empty contention profile is bit-identical to the contention-free
-    // engine; the derated path pays ceil(bytes / (BW * derate)).
-    auto to_cycles = [bw, derate](std::int64_t bytes) {
-        if (derate >= 1.0)
-            return (bytes + bw - 1) / bw;
-        return static_cast<std::int64_t>(
-            std::ceil(static_cast<double>(bytes) /
-                      (static_cast<double>(bw) * derate)));
-    };
-
-    // Timeline state. The DRAM channel serializes fetches and writebacks;
-    // writebacks are queued behind the fetch stream as they are produced.
-    std::int64_t dram_free = 0;       // When the DRAM channel is next idle.
-    std::int64_t compute_done = 0;    // Fold f-1 completion.
-    std::int64_t compute_done_prev = 0; // Fold f-2 completion.
-    std::int64_t compute_busy = 0;    // Accumulated array-busy cycles.
-    std::int64_t last_writeback_done = 0;
-
-    for (std::int64_t f = 0; f < fold_count; ++f) {
-        const std::int64_t fetch_bytes =
-            foldFetchBytes(layer, schedule, cfg, f);
-        const std::int64_t wb_bytes =
-            foldWritebackBytes(layer, schedule, cfg, f);
-
-        // Prefetch for fold f may start once the channel is free and the
-        // target buffer half is released (fold f-2 retired).
-        const std::int64_t fetch_start =
-            std::max(dram_free, compute_done_prev);
-        const std::int64_t fetch_done = fetch_start + to_cycles(fetch_bytes);
-        dram_free = fetch_done;
-
-        const std::int64_t fold_cycles =
-            schedule.folds[static_cast<std::size_t>(f)].cycles;
-        const std::int64_t compute_start =
-            std::max(compute_done, fetch_done);
-        compute_done_prev = compute_done;
-        compute_done = compute_start + fold_cycles;
-        compute_busy += fold_cycles;
-
-        if (wb_bytes > 0) {
-            const std::int64_t wb_start = std::max(dram_free, compute_done);
-            last_writeback_done = wb_start + to_cycles(wb_bytes);
-            dram_free = last_writeback_done;
-        }
-    }
-
-    LayerResult result;
-    result.layerName = layer.name;
-    result.gemm = layer.gemm();
-    result.rowFolds = schedule.rowFolds;
-    result.colFolds = schedule.colFolds;
-    result.computeCycles = compute_busy;
-    result.traffic = computeTraffic(layer, schedule, cfg);
-    result.totalCycles = std::max(compute_done, last_writeback_done);
-    result.stallCycles = result.totalCycles - result.computeCycles;
+    const FlatChannel channel(config.dramBytesPerCycle, derate);
+    LayerResult result = runFoldTimeline(layer, config, channel);
 
     if (telemetry.enabled()) {
         telemetry.metrics().counter("systolic.cycle.layers").add();

@@ -2,14 +2,18 @@
  * @file
  * Accelerator performance engines.
  *
- * Two engines share one result format:
+ * Engines share one result format:
  *
  *  - AnalyticalEngine: closed-form per-layer timing
  *    (max(compute, DRAM-transfer) plus first-tile latency). Fast; used
  *    inside the Phase 2 design-space exploration loop.
- *  - CycleEngine (cycle_engine.h): walks the fold schedule cycle-by-cycle
- *    with an explicit double-buffered prefetch timeline. The reference
- *    model used by the benches.
+ *  - The fold timeline, runFoldTimeline() (cycle_engine.h): steps the
+ *    fold schedule through an explicit double-buffered prefetch/
+ *    writeback recurrence over a pluggable DRAM channel. It has three
+ *    users: CycleEngine (flat channel, optionally derated by a
+ *    contention profile; the reference model used by the benches),
+ *    dram::DramCycleEngine (bank-level channel) and traceLayer()
+ *    (trace.h), which records each fold's events.
  *
  * Property tests assert the analytical runtime brackets the cycle-stepped
  * runtime: max(C, D) <= T_cycle <= C + D (+ first tile, last drain).
@@ -70,7 +74,7 @@ struct RunResult
     double peUtilization(std::int64_t pe_count) const;
 };
 
-/** Shared interface of the two engines. */
+/** Shared interface of the engines. */
 class Engine
 {
   public:

@@ -19,11 +19,8 @@ halfCapacityBytes(int sram_kb)
     return static_cast<std::int64_t>(sram_kb) * 1024 / 2;
 }
 
-/**
- * Evenly split @p total bytes over @p share_count designated folds; fold
- * @p share_index gets the remainder-adjusted portion so shares sum exactly
- * to total.
- */
+} // namespace
+
 std::int64_t
 evenShare(std::int64_t total, std::int64_t share_count,
           std::int64_t share_index)
@@ -34,15 +31,12 @@ evenShare(std::int64_t total, std::int64_t share_count,
     return base + (share_index < extra ? 1 : 0);
 }
 
-} // namespace
-
 void
 LayerTraffic::accumulate(const LayerTraffic &other)
 {
     ifmapDramBytes += other.ifmapDramBytes;
     filterDramBytes += other.filterDramBytes;
     ofmapDramBytes += other.ofmapDramBytes;
-    psumDramBytes += other.psumDramBytes;
     ifmapSramReads += other.ifmapSramReads;
     filterSramReads += other.filterSramReads;
     ofmapSramWrites += other.ofmapSramWrites;
@@ -79,13 +73,16 @@ analyzeResidency(const nn::Layer &layer, const AcceleratorConfig &config)
     return residency;
 }
 
+namespace
+{
+
+/** computeTraffic() for a layer whose residency is already known. */
 LayerTraffic
-computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config)
+trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
+            const AcceleratorConfig &config, const Residency &residency)
 {
     const std::int64_t bpe = config.bytesPerElement;
     const nn::GemmShape gemm = layer.gemm();
-    const Residency residency = analyzeResidency(layer, config);
     const std::int64_t ifmap_bytes = layer.ifmapElems() * bpe;
     const std::int64_t filter_bytes = layer.filterElems() * bpe;
     const std::int64_t ofmap_bytes = layer.ofmapElems() * bpe;
@@ -123,10 +120,9 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
             ? filter_bytes : filter_bytes * schedule.colFolds;
         break;
     }
-    traffic.ofmapDramBytes = ofmap_bytes;
     // Cross-fold partial sums always accumulate on chip (see file
-    // comment); no psum DRAM traffic.
-    traffic.psumDramBytes = 0;
+    // comment), so the ofmap is the only DRAM write.
+    traffic.ofmapDramBytes = ofmap_bytes;
 
     // --- Scratchpad accesses (elements) ---
     switch (config.dataflow) {
@@ -152,110 +148,87 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
     return traffic;
 }
 
+} // namespace
+
+LayerTraffic
+computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
+               const AcceleratorConfig &config)
+{
+    return trafficWith(layer, schedule, config,
+                       analyzeResidency(layer, config));
+}
+
+FoldTraffic::FoldTraffic(const nn::Layer &layer,
+                         const FoldSchedule &schedule,
+                         const AcceleratorConfig &config)
+    : residency(analyzeResidency(layer, config)),
+      traffic(trafficWith(layer, schedule, config, residency)),
+      dataflow(config.dataflow), rowFolds(schedule.rowFolds),
+      colFolds(schedule.colFolds)
+{
+}
+
+std::int64_t
+FoldTraffic::fetchBytes(std::int64_t fold_index) const
+{
+    const std::int64_t folds = rowFolds * colFolds;
+    panicIf(fold_index < 0 || fold_index >= folds,
+            "foldFetchBytes: fold index out of range");
+    const std::int64_t i = fold_index / colFolds;
+    const std::int64_t j = fold_index % colFolds;
+
+    std::int64_t bytes = 0;
+
+    // Ifmap: when resident (and not IS), only the first column pass of
+    // each row fold fetches; otherwise every fold fetches its share.
+    if (dataflow == Dataflow::InputStationary || !residency.ifmapResident)
+        bytes += evenShare(traffic.ifmapDramBytes, folds, fold_index);
+    else if (j == 0)
+        bytes += evenShare(traffic.ifmapDramBytes, rowFolds, i);
+
+    // Filter: WS fetches per fold by construction; OS/IS fetch per fold
+    // unless resident, in which case only the first pass fetches.
+    if (dataflow == Dataflow::OutputStationary && residency.filterResident) {
+        if (i == 0)
+            bytes += evenShare(traffic.filterDramBytes, colFolds, j);
+    } else if (dataflow == Dataflow::InputStationary &&
+               residency.filterResident) {
+        if (j == 0)
+            bytes += evenShare(traffic.filterDramBytes, rowFolds, i);
+    } else {
+        bytes += evenShare(traffic.filterDramBytes, folds, fold_index);
+    }
+    return bytes;
+}
+
+std::int64_t
+FoldTraffic::writebackBytes(std::int64_t fold_index) const
+{
+    panicIf(fold_index < 0 || fold_index >= rowFolds * colFolds,
+            "foldWritebackBytes: fold index out of range");
+    // OS finishes an output tile per fold, so every fold writes its
+    // share; WS/IS finish tiles on the last row-fold pass only.
+    if (dataflow == Dataflow::OutputStationary)
+        return evenShare(traffic.ofmapDramBytes, rowFolds * colFolds,
+                         fold_index);
+    if (fold_index / colFolds == rowFolds - 1)
+        return evenShare(traffic.ofmapDramBytes, colFolds,
+                         fold_index % colFolds);
+    return 0;
+}
+
 std::int64_t
 foldFetchBytes(const nn::Layer &layer, const FoldSchedule &schedule,
                const AcceleratorConfig &config, std::int64_t fold_index)
 {
-    panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
-            "foldFetchBytes: fold index out of range");
-    const LayerTraffic traffic = computeTraffic(layer, schedule, config);
-    const Residency residency = analyzeResidency(layer, config);
-    const std::int64_t col_folds = schedule.colFolds;
-    const std::int64_t row_folds = schedule.rowFolds;
-    const std::int64_t i = fold_index / col_folds;
-    const std::int64_t j = fold_index % col_folds;
-
-    std::int64_t bytes = 0;
-
-    // Ifmap: when resident, only the first column pass of each row fold
-    // fetches; otherwise every fold fetches its share.
-    {
-        const bool designated =
-            config.dataflow == Dataflow::InputStationary
-                ? true
-                : (!residency.ifmapResident || j == 0);
-        std::int64_t share_count = 0;
-        std::int64_t share_index = 0;
-        if (config.dataflow == Dataflow::InputStationary ||
-            !residency.ifmapResident) {
-            share_count = schedule.foldCount();
-            share_index = fold_index;
-        } else {
-            share_count = row_folds;
-            share_index = i;
-        }
-        if (designated)
-            bytes += evenShare(traffic.ifmapDramBytes, share_count,
-                               share_index);
-    }
-
-    // Filter: WS fetches per fold by construction; OS/IS fetch per fold
-    // unless resident, in which case only the first pass fetches.
-    {
-        bool designated = true;
-        std::int64_t share_count = schedule.foldCount();
-        std::int64_t share_index = fold_index;
-        if (config.dataflow == Dataflow::OutputStationary &&
-            residency.filterResident) {
-            designated = (i == 0);
-            share_count = col_folds;
-            share_index = j;
-        } else if (config.dataflow == Dataflow::InputStationary &&
-                   residency.filterResident) {
-            designated = (j == 0);
-            share_count = row_folds;
-            share_index = i;
-        }
-        if (designated)
-            bytes += evenShare(traffic.filterDramBytes, share_count,
-                               share_index);
-    }
-
-    // Spilled partial sums are read back at the start of every pass after
-    // the first.
-    if (traffic.psumDramBytes > 0 && i > 0) {
-        const std::int64_t reads = traffic.psumDramBytes / 2;
-        bytes += evenShare(reads, (row_folds - 1) * col_folds,
-                           (i - 1) * col_folds + j);
-    }
-
-    return bytes;
+    return FoldTraffic(layer, schedule, config).fetchBytes(fold_index);
 }
 
 std::int64_t
 foldWritebackBytes(const nn::Layer &layer, const FoldSchedule &schedule,
                    const AcceleratorConfig &config, std::int64_t fold_index)
 {
-    panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
-            "foldWritebackBytes: fold index out of range");
-    const LayerTraffic traffic = computeTraffic(layer, schedule, config);
-    const std::int64_t col_folds = schedule.colFolds;
-    const std::int64_t row_folds = schedule.rowFolds;
-    const std::int64_t i = fold_index / col_folds;
-    const std::int64_t j = fold_index % col_folds;
-
-    std::int64_t bytes = 0;
-
-    // Final ofmap tiles leave the chip on the last row-fold pass (OS
-    // finishes a tile per fold, but its row folds partition M, so the
-    // last-pass rule is equivalent to "every fold for its own tile" only
-    // for WS/IS; for OS all folds write).
-    if (config.dataflow == Dataflow::OutputStationary) {
-        bytes += evenShare(traffic.ofmapDramBytes, schedule.foldCount(),
-                           fold_index);
-    } else if (i == row_folds - 1) {
-        bytes += evenShare(traffic.ofmapDramBytes, col_folds, j);
-    }
-
-    // Spilled partial sums are written out at the end of every pass except
-    // the last.
-    if (traffic.psumDramBytes > 0 && i < row_folds - 1) {
-        const std::int64_t writes = traffic.psumDramBytes / 2;
-        bytes += evenShare(writes, (row_folds - 1) * col_folds,
-                           i * col_folds + j);
-    }
-
-    return bytes;
+    return FoldTraffic(layer, schedule, config).writebackBytes(fold_index);
 }
 
 } // namespace autopilot::systolic

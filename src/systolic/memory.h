@@ -41,7 +41,6 @@ struct LayerTraffic
     std::int64_t ifmapDramBytes = 0;
     std::int64_t filterDramBytes = 0;
     std::int64_t ofmapDramBytes = 0;
-    std::int64_t psumDramBytes = 0;
 
     // Scratchpad accesses in elements.
     std::int64_t ifmapSramReads = 0;
@@ -53,8 +52,7 @@ struct LayerTraffic
     /** Total DRAM bytes moved for the layer. */
     std::int64_t totalDramBytes() const
     {
-        return ifmapDramBytes + filterDramBytes + ofmapDramBytes +
-               psumDramBytes;
+        return ifmapDramBytes + filterDramBytes + ofmapDramBytes;
     }
 
     /** Total scratchpad accesses (reads + writes), in elements. */
@@ -97,26 +95,57 @@ LayerTraffic computeTraffic(const nn::Layer &layer,
                             const AcceleratorConfig &config);
 
 /**
- * DRAM bytes that fold @p fold_index must fetch before compute can start,
- * consistent with computeTraffic()'s totals: tensors that are resident are
- * only fetched during the first pass that touches them.
- *
- * Used by the cycle-stepped engine to build the prefetch timeline.
- *
- * @param layer      The layer being executed.
- * @param schedule   Fold schedule (row-major fold order).
- * @param config     Accelerator configuration.
- * @param fold_index Index into schedule.folds.
+ * Evenly split @p total over @p share_count designated folds; share
+ * @p share_index gets the remainder-adjusted portion so the shares sum
+ * exactly to total (the first total % share_count shares get one more).
  */
+std::int64_t evenShare(std::int64_t total, std::int64_t share_count,
+                       std::int64_t share_index);
+
+/**
+ * One layer's DRAM traffic split over its folds, built once per layer:
+ * computeTraffic()'s totals plus the residency that decides which folds
+ * carry which share. Resident tensors are only fetched during the first
+ * pass that touches them; final ofmap tiles leave the chip on the last
+ * row-fold pass (every fold for OS). The shares of every fold sum
+ * exactly to the totals. The fold timeline reads its per-fold bytes
+ * here.
+ */
+class FoldTraffic
+{
+  public:
+    /**
+     * @param layer    The layer being executed.
+     * @param schedule Fold schedule (row-major fold order).
+     * @param config   Accelerator configuration.
+     */
+    FoldTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
+                const AcceleratorConfig &config);
+
+    /** The layer totals the folds share. */
+    const LayerTraffic &totals() const { return traffic; }
+
+    /** DRAM bytes fold @p fold_index fetches before compute can start. */
+    std::int64_t fetchBytes(std::int64_t fold_index) const;
+
+    /** DRAM bytes (final ofmap tiles) fold @p fold_index writes back. */
+    std::int64_t writebackBytes(std::int64_t fold_index) const;
+
+  private:
+    Residency residency; // Initialised first: traffic depends on it.
+    LayerTraffic traffic;
+    Dataflow dataflow;
+    std::int64_t rowFolds;
+    std::int64_t colFolds;
+};
+
+/** One-fold view of FoldTraffic::fetchBytes(). */
 std::int64_t foldFetchBytes(const nn::Layer &layer,
                             const FoldSchedule &schedule,
                             const AcceleratorConfig &config,
                             std::int64_t fold_index);
 
-/**
- * DRAM bytes written back by fold @p fold_index (final ofmap tiles plus any
- * partial-sum spill), consistent with computeTraffic()'s totals.
- */
+/** One-fold view of FoldTraffic::writebackBytes(). */
 std::int64_t foldWritebackBytes(const nn::Layer &layer,
                                 const FoldSchedule &schedule,
                                 const AcceleratorConfig &config,

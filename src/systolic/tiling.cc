@@ -79,7 +79,6 @@ scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
     const DimAssignment dims = assignDims(gemm, config.dataflow);
     const std::int64_t sr = config.peRows;
     const std::int64_t sc = config.peCols;
-    const std::int64_t bpe = config.bytesPerElement;
 
     FoldSchedule schedule;
     schedule.rowFolds = ceilDiv(dims.rowDim, sr);
@@ -101,23 +100,6 @@ scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
             fold.cycles = foldCycles(rows_used, cols_used, dims.streamDim);
             fold.macs = rows_used * cols_used * dims.streamDim;
 
-            switch (config.dataflow) {
-              case Dataflow::WeightStationary:
-                fold.filterBytes = rows_used * cols_used * bpe;
-                fold.ifmapBytes = rows_used * dims.streamDim * bpe;
-                fold.ofmapBytes = cols_used * dims.streamDim * bpe;
-                break;
-              case Dataflow::OutputStationary:
-                fold.ifmapBytes = rows_used * dims.streamDim * bpe;
-                fold.filterBytes = cols_used * dims.streamDim * bpe;
-                fold.ofmapBytes = rows_used * cols_used * bpe;
-                break;
-              case Dataflow::InputStationary:
-                fold.ifmapBytes = rows_used * cols_used * bpe;
-                fold.filterBytes = rows_used * dims.streamDim * bpe;
-                fold.ofmapBytes = cols_used * dims.streamDim * bpe;
-                break;
-            }
             schedule.folds.push_back(fold);
         }
     }

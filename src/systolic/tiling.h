@@ -11,8 +11,9 @@
  *   IS: rows <- K (window depth), cols <- M (output pixels); N streams.
  *
  * Each fold has a fill/compute/drain cycle count derived from the classic
- * systolic pipeline timing; the scheduler also reports per-fold operand
- * tile sizes so the memory model can build the prefetch timeline.
+ * systolic pipeline timing. The scheduler knows nothing about memory: the
+ * bytes each fold moves come from the residency-aware split in memory.h
+ * (FoldTraffic).
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_TILING_H
@@ -34,9 +35,6 @@ struct Fold
     std::int64_t colsUsed = 0;   ///< PE columns occupied (<= peCols).
     std::int64_t streamLen = 0;  ///< Elements streamed through the array.
     std::int64_t cycles = 0;     ///< Fill + stream + drain cycles.
-    std::int64_t ifmapBytes = 0; ///< Ifmap tile fetched for this fold.
-    std::int64_t filterBytes = 0;///< Filter tile fetched for this fold.
-    std::int64_t ofmapBytes = 0; ///< Ofmap tile written back by this fold.
     std::int64_t macs = 0;       ///< Useful MACs performed in this fold.
 };
 

@@ -1,8 +1,6 @@
 #include "systolic/trace.h"
 
-#include <algorithm>
-
-#include "util/logging.h"
+#include "systolic/cycle_engine.h"
 
 namespace autopilot::systolic
 {
@@ -48,16 +46,6 @@ traceLayer(const nn::Layer &layer, const AcceleratorConfig &config)
     const LayerTraffic traffic =
         computeTraffic(layer, schedule, config);
     const std::int64_t fold_count = schedule.foldCount();
-    const std::int64_t bw = config.dramBytesPerCycle;
-
-    auto to_cycles = [bw](std::int64_t bytes) {
-        return (bytes + bw - 1) / bw;
-    };
-    auto share = [fold_count](std::int64_t total, std::int64_t fold) {
-        const std::int64_t base = total / fold_count;
-        const std::int64_t extra = total % fold_count;
-        return base + (fold < extra ? 1 : 0);
-    };
 
     LayerTrace trace;
     trace.layerName = layer.name;
@@ -69,51 +57,26 @@ traceLayer(const nn::Layer &layer, const AcceleratorConfig &config)
     const std::int64_t sram_writes =
         traffic.ofmapSramWrites + traffic.psumSramWrites;
 
-    // Same timeline as CycleEngine::runLayer.
-    std::int64_t dram_free = 0;
-    std::int64_t compute_done = 0;
-    std::int64_t compute_done_prev = 0;
-
-    for (std::int64_t f = 0; f < fold_count; ++f) {
-        const std::int64_t fetch_bytes =
-            foldFetchBytes(layer, schedule, config, f);
-        const std::int64_t wb_bytes =
-            foldWritebackBytes(layer, schedule, config, f);
-
-        const std::int64_t fetch_start =
-            std::max(dram_free, compute_done_prev);
-        const std::int64_t fetch_done =
-            fetch_start + to_cycles(fetch_bytes);
-        dram_free = fetch_done;
-
-        const std::int64_t fold_cycles =
-            schedule.folds[static_cast<std::size_t>(f)].cycles;
-        const std::int64_t compute_start =
-            std::max(compute_done, fetch_done);
-        compute_done_prev = compute_done;
-        compute_done = compute_start + fold_cycles;
-
-        if (fetch_bytes > 0) {
-            trace.events.push_back({f, fetch_start,
+    const FlatChannel channel(config.dramBytesPerCycle);
+    runFoldTimeline(layer, config, channel, [&](const FoldTiming &fold) {
+        const std::int64_t f = fold.index;
+        if (fold.fetchBytes > 0) {
+            trace.events.push_back({f, fold.fetchStart,
                                     TraceEventKind::DramFetch,
-                                    fetch_bytes});
+                                    fold.fetchBytes});
         }
-        trace.events.push_back({f, compute_start,
-                                TraceEventKind::SramRead,
-                                share(sram_reads, f)});
-        trace.events.push_back({f, compute_start,
-                                TraceEventKind::SramWrite,
-                                share(sram_writes, f)});
-        if (wb_bytes > 0) {
-            const std::int64_t wb_start =
-                std::max(dram_free, compute_done);
-            trace.events.push_back({f, wb_start,
+        trace.events.push_back(
+            {f, fold.computeStart, TraceEventKind::SramRead,
+             evenShare(sram_reads, fold_count, f)});
+        trace.events.push_back(
+            {f, fold.computeStart, TraceEventKind::SramWrite,
+             evenShare(sram_writes, fold_count, f)});
+        if (fold.writebackBytes > 0) {
+            trace.events.push_back({f, fold.writebackStart,
                                     TraceEventKind::DramWriteback,
-                                    wb_bytes});
-            dram_free = wb_start + to_cycles(wb_bytes);
+                                    fold.writebackBytes});
         }
-    }
-
+    });
     return trace;
 }
 

@@ -5,8 +5,10 @@
  * SCALE-Sim's primary output is per-cycle SRAM/DRAM traces that feed
  * power models; this module reproduces that interface at fold
  * granularity: a stream of records, one per (fold, event-kind), carrying
- * the byte/element counts and the fold's start cycle on the prefetch
- * timeline. The trace totals are guaranteed to match computeTraffic()
+ * the byte/element counts and the event's start cycle on the fold
+ * timeline. It is an observer of runFoldTimeline() (cycle_engine.h),
+ * not a copy of it, so its cycles cannot drift from the cycle engine's.
+ * The trace totals are guaranteed to match computeTraffic()
  * (property-tested), so trace consumers and the analytic power model
  * always agree.
  */
@@ -43,7 +45,8 @@ std::string traceEventKindName(TraceEventKind kind);
 struct TraceEvent
 {
     std::int64_t foldIndex = 0;
-    std::int64_t startCycle = 0; ///< Fold compute-start cycle.
+    /// Transfer start for DRAM events, fold compute start for SRAM ones.
+    std::int64_t startCycle = 0;
     TraceEventKind kind = TraceEventKind::DramFetch;
     std::int64_t amount = 0; ///< Bytes (DRAM) or elements (SRAM).
 };
@@ -64,9 +67,10 @@ struct LayerTrace
 /**
  * Generate the fold-granular trace of a layer on a configuration.
  *
- * Fold start cycles follow the same double-buffered prefetch timeline as
- * the CycleEngine; DRAM amounts match foldFetchBytes/foldWritebackBytes
- * and SRAM amounts split computeTraffic()'s totals evenly across folds.
+ * The trace is recorded by runFoldTimeline() over a full-bandwidth
+ * FlatChannel - the same function CycleEngine runs - so its start cycles
+ * are CycleEngine's. DRAM amounts are the FoldTraffic per-fold split and
+ * SRAM amounts split computeTraffic()'s totals evenly across folds.
  */
 LayerTrace traceLayer(const nn::Layer &layer,
                       const AcceleratorConfig &config);

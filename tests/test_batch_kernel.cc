@@ -86,7 +86,6 @@ expectTrafficEq(const sys::LayerTraffic &a, const sys::LayerTraffic &b)
     EXPECT_EQ(a.ifmapDramBytes, b.ifmapDramBytes);
     EXPECT_EQ(a.filterDramBytes, b.filterDramBytes);
     EXPECT_EQ(a.ofmapDramBytes, b.ofmapDramBytes);
-    EXPECT_EQ(a.psumDramBytes, b.psumDramBytes);
     EXPECT_EQ(a.ifmapSramReads, b.ifmapSramReads);
     EXPECT_EQ(a.filterSramReads, b.filterSramReads);
     EXPECT_EQ(a.ofmapSramWrites, b.ofmapSramWrites);

@@ -76,7 +76,9 @@ TEST(Traffic, PsumNeverSpillsToDram)
         const auto schedule = sys::scheduleGemm(conv.gemm(), config);
         const auto traffic =
             sys::computeTraffic(conv, schedule, config);
-        EXPECT_EQ(traffic.psumDramBytes, 0)
+        // The only DRAM write is the final ofmap, written once.
+        EXPECT_EQ(traffic.ofmapDramBytes,
+                  conv.ofmapElems() * config.bytesPerElement)
             << sys::dataflowName(dataflow);
     }
 }
@@ -245,7 +247,8 @@ TEST(Traffic, DenseLayerNeverChunks)
         }
         const auto schedule = sys::scheduleGemm(fc.gemm(), config);
         const auto traffic = sys::computeTraffic(fc, schedule, config);
-        EXPECT_EQ(traffic.psumDramBytes, 0);
+        EXPECT_EQ(traffic.ofmapDramBytes,
+                  fc.ofmapElems() * config.bytesPerElement);
     }
 }
 
