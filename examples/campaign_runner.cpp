@@ -58,7 +58,7 @@
  *                      airframe (default quad; single-scenario
  *                      shorthand for --mission-mix)
  *   --mission-mix FILE JSON array of weighted (airframe, mission)
- *                      scenarios (see runner::parseMissionMix); the
+ *                      scenarios (the "mission_mix" key grammar); the
  *                      weighted missions-per-charge across the mix
  *                      becomes the selection objective. Mutually
  *                      exclusive with --airframe.
@@ -68,36 +68,43 @@
  *                      8th design dimension and switches the archive/
  *                      journal to the precision-labelled layout.
  *
- * The contention flags describe camera/host streams sharing the NPU's
- * DRAM channel (see systolic::ContentionProfile); they shape the
- * "contention" backend and the "tiered" verify tier, and are part of
- * the task fingerprint, so a journal resumes only under the profile it
- * was written with.
- *
- * With --backend dram (or --backend tiered plus any --dram-* flag) the
- * same camera/host rates instead program bank-level traffic generators
- * (see dram::DramSpec): the camera walks rows linearly, the host jumps
- * randomly, and the flat contention surcharge stays zero so bytes are
- * never charged twice. The dram spec is folded into the fingerprint the
- * same way.
+ * Every classic-mode task flag is a submission key of the service
+ * (see runner::applyTaskKeys): --optimizer, --backend, --budget,
+ * --episodes, --threads, --precision and --airframe set the key of the
+ * same name, --deadline sets deadline_s, --camera-mbps/--host-mbps/
+ * --npu-floor set camera_mbps/host_mbps/npu_floor, --dram-banks/
+ * --row-policy/--dram-timing set dram_banks/row_policy/dram_timing,
+ * and --mission-mix FILE sets mission_mix to the file's array. One
+ * grammar therefore decides, for both inputs, the value ranges, the
+ * airframe shorthand and whether the camera/host rates are a flat
+ * contention profile (part of the task fingerprint, so a journal
+ * resumes only under the profile it was written with) or bank-level
+ * traffic generators (with --backend dram, or tiered plus any --dram-*
+ * flag). Only the defaults differ: 80 episodes and budget 60 here, and
+ * the density sweep. A bad value exits 2 naming the flag.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dram/config.h"
 #include "io/csv.h"
+#include "io/json.h"
 #include "runner/campaign.h"
 #include "runner/service.h"
 #include "systolic/config.h"
 #include "uav/uav_spec.h"
 #include "util/cancel.h"
-#include "util/logging.h"
 
 namespace
 {
@@ -125,14 +132,25 @@ usage(const std::string &error)
     std::exit(2);
 }
 
-/// The value of numeric flag @p flag, or usage() naming the flag.
+/// usage() naming flag @p flag as the one at fault.
+[[noreturn]] void
+badFlag(const std::string &flag, const std::string &error)
+{
+    usage("bad " + flag + ": " + error);
+}
+
+/// The value of integer flag @p flag, at least @p min, or usage()
+/// naming the flag.
 int
-intFlag(const std::string &flag, const std::string &text)
+intFlag(const std::string &flag, const std::string &text,
+        int min = std::numeric_limits<int>::min())
 {
     int value = 0;
-    const std::string error = autopilot::io::tryParseInt(text, value);
+    std::string error = autopilot::io::tryParseInt(text, value);
+    if (error.empty() && value < min)
+        error = "want an integer >= " + std::to_string(min);
     if (!error.empty())
-        usage("bad " + flag + ": " + error);
+        badFlag(flag, error);
     return value;
 }
 
@@ -143,7 +161,66 @@ doubleFlag(const std::string &flag, const std::string &text)
     double value = 0.0;
     const std::string error = autopilot::io::tryParseDouble(text, value);
     if (!error.empty())
-        usage("bad " + flag + ": " + error);
+        badFlag(flag, error);
+    return value;
+}
+
+/// How a task flag's text becomes its submission key's JSON value.
+enum class FlagText
+{
+    Integer,
+    Number,
+    String,
+    JsonFile,
+};
+
+/// A classic-mode task flag and the submission key it sets.
+struct TaskFlag
+{
+    const char *flag;
+    const char *key;
+    FlagText text;
+};
+
+constexpr TaskFlag kTaskFlags[] = {
+    {"--optimizer", "optimizer", FlagText::String},
+    {"--backend", "backend", FlagText::String},
+    {"--budget", "budget", FlagText::Integer},
+    {"--episodes", "episodes", FlagText::Integer},
+    {"--threads", "threads", FlagText::Integer},
+    {"--deadline", "deadline_s", FlagText::Number},
+    {"--camera-mbps", "camera_mbps", FlagText::Number},
+    {"--host-mbps", "host_mbps", FlagText::Number},
+    {"--npu-floor", "npu_floor", FlagText::Number},
+    {"--dram-banks", "dram_banks", FlagText::Integer},
+    {"--row-policy", "row_policy", FlagText::String},
+    {"--dram-timing", "dram_timing", FlagText::String},
+    {"--airframe", "airframe", FlagText::String},
+    {"--mission-mix", "mission_mix", FlagText::JsonFile},
+    {"--precision", "precision", FlagText::String},
+};
+
+/// The JSON value @p flag sets from @p text, or usage() naming the flag.
+autopilot::io::JsonValue
+flagValue(const TaskFlag &flag, const std::string &text)
+{
+    using autopilot::io::JsonValue;
+    if (flag.text == FlagText::Integer)
+        return JsonValue::makeNumber(intFlag(flag.flag, text));
+    if (flag.text == FlagText::Number)
+        return JsonValue::makeNumber(doubleFlag(flag.flag, text));
+    if (flag.text == FlagText::String)
+        return JsonValue::makeString(text);
+    // FlagText::JsonFile: the document in file @p text.
+    std::ifstream in(text, std::ios::binary);
+    if (!in)
+        badFlag(flag.flag, "cannot open '" + text + "'");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    JsonValue value;
+    std::string error;
+    if (!autopilot::io::tryParseJson(buffer.str(), value, error))
+        badFlag(flag.flag, error);
     return value;
 }
 
@@ -172,21 +249,8 @@ main(int argc, char **argv)
     double pollSeconds = 0.2;
     int maxCampaigns = 0;
     bool resume = false;
-    std::string optimizer = "bo";
-    std::string backend = "analytical";
-    int budget = 60;
-    int episodes = 80;
-    int threads = 1;
     int concurrency = 1;
-    double deadlineSeconds = 0.0;
-    double cameraMbps = 0.0;
-    double hostMbps = 0.0;
-    double npuFloor = 0.0;
-    dram::DramTiming dramTiming;
-    bool hasDramFlag = false;
-    std::string airframeName;
-    std::string missionMixFile;
-    std::vector<int> precisions = {1};
+    std::map<std::string, io::JsonValue> taskKeys;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     auto value = [&](std::size_t &i) -> const std::string & {
@@ -196,102 +260,54 @@ main(int argc, char **argv)
     };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg == "--dir") {
+        const auto taskFlag =
+            std::find_if(std::begin(kTaskFlags), std::end(kTaskFlags),
+                         [&](const TaskFlag &flag) {
+                             return arg == flag.flag;
+                         });
+        if (taskFlag != std::end(kTaskFlags)) {
+            taskKeys[taskFlag->key] = flagValue(*taskFlag, value(i));
+        } else if (arg == "--dir") {
             dir = value(i);
         } else if (arg == "--serve") {
             serveRoot = value(i);
         } else if (arg == "--max-active") {
-            maxActive = intFlag(arg, value(i));
+            maxActive = intFlag(arg, value(i), 1);
         } else if (arg == "--workers") {
-            workers = intFlag(arg, value(i));
+            workers = intFlag(arg, value(i), 0);
         } else if (arg == "--poll") {
             pollSeconds = doubleFlag(arg, value(i));
+            if (!std::isfinite(pollSeconds) || pollSeconds < 0.0)
+                badFlag(arg, "want a finite number >= 0");
         } else if (arg == "--max-campaigns") {
-            maxCampaigns = intFlag(arg, value(i));
+            maxCampaigns = intFlag(arg, value(i), 0);
         } else if (arg == "--resume") {
             resume = true;
             // Optional value: --resume DIR names the campaign root.
             if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0)
                 dir = args[++i];
-        } else if (arg == "--optimizer") {
-            optimizer = value(i);
-        } else if (arg == "--backend") {
-            backend = value(i);
-        } else if (arg == "--budget") {
-            budget = intFlag(arg, value(i));
-        } else if (arg == "--episodes") {
-            episodes = intFlag(arg, value(i));
-        } else if (arg == "--threads") {
-            threads = intFlag(arg, value(i));
         } else if (arg == "--concurrency") {
-            concurrency = intFlag(arg, value(i));
-        } else if (arg == "--deadline") {
-            deadlineSeconds = doubleFlag(arg, value(i));
-        } else if (arg == "--camera-mbps") {
-            cameraMbps = doubleFlag(arg, value(i));
-        } else if (arg == "--host-mbps") {
-            hostMbps = doubleFlag(arg, value(i));
-        } else if (arg == "--npu-floor") {
-            npuFloor = doubleFlag(arg, value(i));
-        } else if (arg == "--dram-banks") {
-            dramTiming.banks = intFlag(arg, value(i));
-            hasDramFlag = true;
-        } else if (arg == "--row-policy") {
-            if (!dram::rowPolicyFromName(value(i),
-                                         dramTiming.rowPolicy))
-                usage("unknown row policy '" + args[i] +
-                      "' (want open|closed)");
-            hasDramFlag = true;
-        } else if (arg == "--dram-timing") {
-            std::string error;
-            if (!dram::parseDramTiming(value(i), dramTiming, error))
-                usage("bad --dram-timing: " + error);
-            hasDramFlag = true;
-        } else if (arg == "--airframe") {
-            airframeName = value(i);
-        } else if (arg == "--mission-mix") {
-            missionMixFile = value(i);
-        } else if (arg == "--precision") {
-            std::string error;
-            if (!systolic::parsePrecisionList(value(i), precisions,
-                                              error))
-                usage("bad --precision: " + error);
+            concurrency = intFlag(arg, value(i), 0);
         } else {
             usage("unknown flag '" + arg + "'");
         }
     }
     if (resume && dir.empty())
         usage("--resume needs a campaign directory (--resume DIR)");
-    if (cameraMbps < 0.0 || hostMbps < 0.0)
-        usage("contention rates must be >= 0");
-    if (!airframeName.empty() && !missionMixFile.empty())
-        usage("--airframe and --mission-mix are mutually exclusive");
 
-    // Scenario set shared by every classic-mode task. --airframe quad
-    // keeps the mix empty (the legacy default, byte-identical results).
-    uav::MissionMix missionMix;
-    if (!airframeName.empty()) {
-        uav::AirframeKind kind = uav::AirframeKind::Quadrotor;
-        if (!uav::airframeKindFromName(airframeName, kind))
-            usage("unknown airframe '" + airframeName +
-                  "' (want quad|fixed-wing)");
-        if (kind != uav::AirframeKind::Quadrotor) {
-            uav::MissionScenario scenario =
-                uav::defaultMissionScenario();
-            scenario.airframe = kind;
-            missionMix.scenarios = {scenario};
-        }
-    }
-    if (!missionMixFile.empty()) {
-        std::ifstream in(missionMixFile, std::ios::binary);
-        if (!in)
-            usage("cannot open mission-mix file '" + missionMixFile +
-                  "'");
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        std::string error;
-        if (!runner::parseMissionMix(buffer.str(), missionMix, error))
-            usage("bad mission mix '" + missionMixFile + "': " + error);
+    // The classic-mode task before its density is set: the CLI's
+    // defaults with the flags' keys applied over them.
+    runner::CampaignTask base;
+    base.spec.validationEpisodes = 80;
+    base.spec.dseBudget = 60;
+    base.uav = uav::zhangNano();
+    std::string error;
+    std::string badKey;
+    if (!runner::applyTaskKeys(taskKeys, base, error, badKey)) {
+        for (const TaskFlag &flag : kTaskFlags)
+            if (badKey == flag.key)
+                badFlag(flag.flag, error);
+        usage(error);
     }
 
     if (!serveRoot.empty()) {
@@ -324,29 +340,6 @@ main(int argc, char **argv)
         return outcome.failed == 0 ? 0 : 1;
     }
 
-    // --backend dram (or tiered with any --dram-* flag) turns the
-    // camera/host rates into bank-level traffic generators; otherwise
-    // they stay the flat contention surcharge. Never both - the same
-    // bytes must not be charged twice.
-    const bool wantsDram =
-        backend == "dram" || (hasDramFlag && backend == "tiered");
-    if (hasDramFlag && !wantsDram)
-        usage("--dram-* flags require --backend dram or tiered");
-    dram::DramSpec dramSpec;
-    systolic::ContentionProfile contention;
-    if (wantsDram) {
-        dramSpec =
-            dram::uavDramSpec(dramTiming, cameraMbps * 1e6,
-                              hostMbps * 1e6);
-        const std::string reason = dramSpec.infeasibleReason();
-        if (!reason.empty())
-            usage("infeasible dram channel: " + reason);
-    } else {
-        contention.cameraBytesPerSec = cameraMbps * 1e6;
-        contention.hostBytesPerSec = hostMbps * 1e6;
-        contention.npuFloorFraction = npuFloor;
-    }
-
     runner::CampaignConfig config;
     config.rootDir = dir;
     config.resume = resume;
@@ -358,41 +351,32 @@ main(int argc, char **argv)
     std::vector<runner::CampaignTask> tasks;
     for (airlearning::ObstacleDensity density :
          airlearning::allDensities()) {
-        runner::CampaignTask task;
+        runner::CampaignTask task = base;
         task.name = airlearning::densityName(density);
         task.spec.density = density;
-        task.spec.validationEpisodes = episodes;
-        task.spec.dseBudget = budget;
-        task.spec.threads = threads;
-        task.spec.backend = backend;
-        task.spec.contention = contention;
-        task.spec.dram = dramSpec;
-        task.spec.optimizer = optimizer;
-        task.spec.missionMix = missionMix;
-        task.spec.precisions = precisions;
-        task.uav = uav::zhangNano();
-        task.deadlineSeconds = deadlineSeconds;
         tasks.push_back(task);
     }
 
+    const core::TaskSpec &spec = base.spec;
     std::cout << "Campaign: " << tasks.size() << " tasks (optimizer "
-              << optimizer << ", backend " << backend << ", budget "
-              << budget << ")";
-    if (contention.enabled())
-        std::cout << " under " << contention.totalBytesPerSec() / 1e6
-                  << " MB/s background DRAM traffic";
-    if (dramSpec.enabled())
+              << spec.optimizer << ", backend " << spec.backend
+              << ", budget " << spec.dseBudget << ")";
+    if (spec.contention.enabled())
         std::cout << " under "
-                  << dramSpec.backgroundBytesPerSec() / 1e6
+                  << spec.contention.totalBytesPerSec() / 1e6
+                  << " MB/s background DRAM traffic";
+    if (spec.dram.enabled())
+        std::cout << " under "
+                  << spec.dram.backgroundBytesPerSec() / 1e6
                   << " MB/s bank-level traffic ("
-                  << dramSpec.timing.banks << " banks, "
-                  << dram::rowPolicyName(dramSpec.timing.rowPolicy)
+                  << spec.dram.timing.banks << " banks, "
+                  << dram::rowPolicyName(spec.dram.timing.rowPolicy)
                   << "-row)";
-    if (!missionMix.isDefault())
-        std::cout << ", mission mix '" << missionMix.tag() << "'";
-    if (precisions.size() > 1)
+    if (!spec.missionMix.isDefault())
+        std::cout << ", mission mix '" << spec.missionMix.tag() << "'";
+    if (spec.precisions.size() > 1)
         std::cout << ", precision "
-                  << systolic::formatPrecisionList(precisions);
+                  << systolic::formatPrecisionList(spec.precisions);
     std::cout << (dir.empty() ? ""
                               : (resume ? ", resuming" : ", journaled"))
               << "\n\n";

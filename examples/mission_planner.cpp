@@ -41,18 +41,6 @@ parseUav(const std::string &name)
                 "' (use nano|micro|mini)");
 }
 
-airlearning::ObstacleDensity
-parseDensity(const std::string &name)
-{
-    for (airlearning::ObstacleDensity density :
-         airlearning::allDensities()) {
-        if (airlearning::densityName(density) == name)
-            return density;
-    }
-    util::fatal("unknown scenario '" + name +
-                "' (use low|medium|dense)");
-}
-
 } // namespace
 
 int
@@ -61,8 +49,10 @@ main(int argc, char **argv)
     const std::string uav_name = argc > 1 ? argv[1] : "nano";
     const std::string density_name = argc > 2 ? argv[2] : "dense";
     const uav::UavSpec vehicle = parseUav(uav_name);
-    const airlearning::ObstacleDensity density =
-        parseDensity(density_name);
+    airlearning::ObstacleDensity density{};
+    if (!airlearning::densityFromName(density_name, density))
+        util::fatal("unknown scenario '" + density_name +
+                    "' (use low|medium|dense)");
 
     std::cout << "Designing a DSSoC for " << vehicle.name << " ("
               << density_name << " obstacles)\n\n";

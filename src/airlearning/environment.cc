@@ -20,6 +20,18 @@ densityName(ObstacleDensity density)
     return "?";
 }
 
+bool
+densityFromName(const std::string &name, ObstacleDensity &out)
+{
+    for (const ObstacleDensity density : allDensities()) {
+        if (densityName(density) == name) {
+            out = density;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::vector<ObstacleDensity>
 allDensities()
 {

@@ -34,6 +34,9 @@ enum class ObstacleDensity
 /** Human-readable scenario name. */
 std::string densityName(ObstacleDensity density);
 
+/** The density densityName() calls @p name; false when none does. */
+bool densityFromName(const std::string &name, ObstacleDensity &out);
+
 /** All three scenarios in {Low, Medium, Dense} order. */
 std::vector<ObstacleDensity> allDensities();
 

@@ -145,20 +145,6 @@ archiveHeaderOfWidth(std::size_t width)
     return header;
 }
 
-bool
-densityFromName(const std::string &name,
-                airlearning::ObstacleDensity &density)
-{
-    for (airlearning::ObstacleDensity candidate :
-         airlearning::allDensities()) {
-        if (airlearning::densityName(candidate) == name) {
-            density = candidate;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 formatDouble(double value)
 {
@@ -328,7 +314,8 @@ tryReadPolicyDatabase(std::istream &is, ParseDiag &diag)
             tryParseInt(row[1], record.params.numConvLayers);
         if (reason.empty())
             reason = tryParseInt(row[2], record.params.numFilters);
-        if (reason.empty() && !densityFromName(row[3], record.density))
+        if (reason.empty() &&
+            !airlearning::densityFromName(row[3], record.density))
             reason = "unknown density '" + row[3] + "'";
         if (reason.empty())
             reason = tryParseDouble(row[4], record.successRate);

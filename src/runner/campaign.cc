@@ -1,5 +1,6 @@
 #include "runner/campaign.h"
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <utility>
@@ -184,9 +185,10 @@ CampaignRunner::run(std::span<const CampaignTask> tasks)
         util::fatalIf(!names.insert(task.name).second,
                       "CampaignRunner: duplicate task name '" +
                           task.name + "'");
-        util::fatalIf(task.deadlineSeconds < 0.0,
-                      "CampaignRunner: negative deadline on task '" +
-                          task.name + "'");
+        util::fatalIf(!std::isfinite(task.deadlineSeconds) ||
+                          task.deadlineSeconds < 0.0,
+                      "CampaignRunner: deadline on task '" + task.name +
+                          "' must be finite and >= 0");
     }
 
     util::TraceSpan span("campaign", "runner");

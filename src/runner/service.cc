@@ -13,6 +13,7 @@
 #include "airlearning/environment.h"
 #include "dram/config.h"
 #include "dse/eval_backend.h"
+#include "dse/optimizer.h"
 #include "io/json.h"
 #include "io/persistence.h"
 #include "systolic/config.h"
@@ -42,20 +43,6 @@ safeName(const std::string &name)
             return false;
     }
     return true;
-}
-
-bool
-densityFromName(const std::string &name,
-                airlearning::ObstacleDensity &out)
-{
-    for (const airlearning::ObstacleDensity density :
-         airlearning::allDensities()) {
-        if (airlearning::densityName(density) == name) {
-            out = density;
-            return true;
-        }
-    }
-    return false;
 }
 
 bool
@@ -207,6 +194,147 @@ bumpServiceCounter(const std::string &name, std::size_t amount = 1)
 } // namespace
 
 bool
+applyTaskKeys(const std::map<std::string, io::JsonValue> &keys,
+              CampaignTask &task, std::string &error, std::string &badKey)
+{
+    core::TaskSpec &spec = task.spec;
+    double cameraBps = spec.contention.cameraBytesPerSec;
+    double hostBps = spec.contention.hostBytesPerSec;
+    dram::DramTiming dramTiming = spec.dram.timing;
+    uav::AirframeKind airframeKind = uav::AirframeKind::Quadrotor;
+    bool hasAirframe = false;
+    bool hasMix = false;
+    bool hasDramKey = false;
+
+    for (const auto &[key, value] : keys) {
+        bool ok = true;
+        double mbps = 0.0;
+        std::string detail;
+        badKey = key;
+        if (key == "density") {
+            ok = value.isString() &&
+                 airlearning::densityFromName(value.asString(),
+                                              spec.density);
+        } else if (key == "episodes") {
+            ok = intField(value, spec.validationEpisodes) &&
+                 spec.validationEpisodes >= 1;
+        } else if (key == "budget") {
+            ok = intField(value, spec.dseBudget) && spec.dseBudget >= 1;
+        } else if (key == "threads") {
+            ok = intField(value, spec.threads);
+        } else if (key == "seed") {
+            int seed = 0;
+            ok = intField(value, seed);
+            if (ok)
+                spec.seed = static_cast<std::uint64_t>(seed);
+        } else if (key == "optimizer") {
+            const std::vector<std::string> &names = dse::optimizerNames();
+            ok = value.isString() &&
+                 std::find(names.begin(), names.end(),
+                           value.asString()) != names.end();
+            if (ok)
+                spec.optimizer = value.asString();
+        } else if (key == "backend") {
+            ok = value.isString() &&
+                 dse::BackendRegistry::instance().knows(value.asString());
+            if (ok)
+                spec.backend = value.asString();
+        } else if (key == "uav") {
+            ok = value.isString() && uavFromName(value.asString(), task.uav);
+        } else if (key == "deadline_s") {
+            ok = numberField(value, task.deadlineSeconds) &&
+                 task.deadlineSeconds >= 0.0;
+        } else if (key == "camera_mbps") {
+            ok = numberField(value, mbps) && mbps >= 0.0;
+            cameraBps = mbps * 1e6;
+        } else if (key == "host_mbps") {
+            ok = numberField(value, mbps) && mbps >= 0.0;
+            hostBps = mbps * 1e6;
+        } else if (key == "npu_floor") {
+            double &floor = spec.contention.npuFloorFraction;
+            ok = numberField(value, floor) && floor >= 0.0 && floor < 1.0;
+        } else if (key == "dram_banks") {
+            ok = intField(value, dramTiming.banks) && dramTiming.banks >= 1;
+            hasDramKey = true;
+        } else if (key == "row_policy") {
+            ok = value.isString() &&
+                 dram::rowPolicyFromName(value.asString(),
+                                         dramTiming.rowPolicy);
+            hasDramKey = true;
+        } else if (key == "dram_timing") {
+            std::string timingError;
+            ok = value.isString() &&
+                 dram::parseDramTiming(value.asString(), dramTiming,
+                                       timingError);
+            hasDramKey = true;
+        } else if (key == "airframe") {
+            ok = value.isString() &&
+                 uav::airframeKindFromName(value.asString(),
+                                           airframeKind);
+            hasAirframe = true;
+        } else if (key == "mission_mix") {
+            hasMix = true;
+            if (!missionMixFromJson(value, spec.missionMix, error))
+                return false;
+        } else if (key == "precision") {
+            // Comma-separated operand-width list ("int8,fp16,fp32");
+            // more than one width makes precision a searched Phase 2
+            // dimension for this campaign.
+            ok = value.isString() &&
+                 systolic::parsePrecisionList(value.asString(),
+                                              spec.precisions, detail);
+        } else {
+            error = "unknown key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            error = "bad value for '" + key + "'" +
+                    (detail.empty() ? "" : ": " + detail);
+            return false;
+        }
+    }
+
+    if (hasAirframe && hasMix) {
+        badKey = "airframe";
+        error = "'airframe' and 'mission_mix' are mutually exclusive";
+        return false;
+    }
+    // "airframe" is single-scenario shorthand; quad is the default and
+    // keeps the implicit mix empty (fingerprint-identical to legacy).
+    if (hasAirframe && airframeKind != uav::AirframeKind::Quadrotor) {
+        uav::MissionScenario scenario = uav::defaultMissionScenario();
+        scenario.airframe = airframeKind;
+        spec.missionMix.scenarios = {scenario};
+    }
+
+    // Bank-level simulation is active for the "dram" backend (or for
+    // "tiered" when a dram_* key opts the verify tier in). The same
+    // camera/host rates then shape traffic generators instead of the
+    // flat contention surcharge, which stays zero so the channel is
+    // never charged twice for the same bytes.
+    badKey.clear();
+    const bool wantsDram = spec.backend == "dram" ||
+                           (hasDramKey && spec.backend == "tiered");
+    if (hasDramKey && !wantsDram) {
+        badKey = "backend";
+        error = "dram_* keys require backend 'dram' or 'tiered'";
+        return false;
+    }
+    if (wantsDram) {
+        spec.dram = dram::uavDramSpec(dramTiming, cameraBps, hostBps);
+        cameraBps = hostBps = 0.0;
+        const std::string reason = spec.dram.infeasibleReason();
+        if (!reason.empty()) {
+            error = "infeasible dram channel: " + reason;
+            return false;
+        }
+    }
+    spec.contention.cameraBytesPerSec = cameraBps;
+    spec.contention.hostBytesPerSec = hostBps;
+    return true;
+}
+
+bool
 parseSubmission(const std::string &id, const std::string &text,
                 CampaignSubmission &out, std::string &error)
 {
@@ -234,147 +362,20 @@ parseSubmission(const std::string &id, const std::string &text,
     sub.task.spec.dseBudget = 30;
     sub.task.uav = uav::zhangNano();
 
-    double cameraMbps = 0.0;
-    double hostMbps = 0.0;
-    uav::AirframeKind airframeKind = uav::AirframeKind::Quadrotor;
-    bool hasAirframe = false;
-    bool hasMix = false;
-    dram::DramTiming dramTiming;
-    bool hasDramKey = false;
-
-    for (const auto &[key, value] : doc.asObject()) {
-        bool ok = true;
-        if (key == "tenant") {
-            ok = value.isString() && safeName(value.asString());
-            if (ok)
-                sub.tenant = value.asString();
-        } else if (key == "density") {
-            ok = value.isString() &&
-                 densityFromName(value.asString(), sub.task.spec.density);
-        } else if (key == "episodes") {
-            ok = intField(value, sub.task.spec.validationEpisodes) &&
-                 sub.task.spec.validationEpisodes >= 1;
-        } else if (key == "budget") {
-            ok = intField(value, sub.task.spec.dseBudget) &&
-                 sub.task.spec.dseBudget >= 1;
-        } else if (key == "threads") {
-            ok = intField(value, sub.task.spec.threads);
-        } else if (key == "seed") {
-            int seed = 0;
-            ok = intField(value, seed);
-            if (ok)
-                sub.task.spec.seed = static_cast<std::uint64_t>(seed);
-        } else if (key == "optimizer") {
-            ok = value.isString() &&
-                 (value.asString() == "bo" || value.asString() == "nsga2" ||
-                  value.asString() == "sa" || value.asString() == "random");
-            if (ok)
-                sub.task.spec.optimizer = value.asString();
-        } else if (key == "backend") {
-            ok = value.isString() &&
-                 dse::BackendRegistry::instance().knows(value.asString());
-            if (ok)
-                sub.task.spec.backend = value.asString();
-        } else if (key == "uav") {
-            ok = value.isString() &&
-                 uavFromName(value.asString(), sub.task.uav);
-        } else if (key == "deadline_s") {
-            ok = numberField(value, sub.task.deadlineSeconds) &&
-                 sub.task.deadlineSeconds >= 0.0;
-        } else if (key == "camera_mbps") {
-            ok = numberField(value, cameraMbps) && cameraMbps >= 0.0;
-        } else if (key == "host_mbps") {
-            ok = numberField(value, hostMbps) && hostMbps >= 0.0;
-        } else if (key == "npu_floor") {
-            ok = numberField(value,
-                             sub.task.spec.contention.npuFloorFraction) &&
-                 sub.task.spec.contention.npuFloorFraction >= 0.0 &&
-                 sub.task.spec.contention.npuFloorFraction < 1.0;
-        } else if (key == "dram_banks") {
-            ok = intField(value, dramTiming.banks) &&
-                 dramTiming.banks >= 1;
-            hasDramKey = hasDramKey || ok;
-        } else if (key == "row_policy") {
-            ok = value.isString() &&
-                 dram::rowPolicyFromName(value.asString(),
-                                         dramTiming.rowPolicy);
-            hasDramKey = hasDramKey || ok;
-        } else if (key == "dram_timing") {
-            std::string timingError;
-            ok = value.isString() &&
-                 dram::parseDramTiming(value.asString(), dramTiming,
-                                       timingError);
-            hasDramKey = hasDramKey || ok;
-        } else if (key == "airframe") {
-            ok = value.isString() &&
-                 uav::airframeKindFromName(value.asString(),
-                                           airframeKind);
-            hasAirframe = ok;
-        } else if (key == "mission_mix") {
-            hasMix = true;
-            if (!missionMixFromJson(value, sub.task.spec.missionMix,
-                                    error))
-                return false;
-        } else if (key == "precision") {
-            // Comma-separated operand-width list ("int8,fp16,fp32");
-            // more than one width makes precision a searched Phase 2
-            // dimension for this campaign.
-            std::string precisionError;
-            ok = value.isString() &&
-                 systolic::parsePrecisionList(value.asString(),
-                                              sub.task.spec.precisions,
-                                              precisionError);
-            if (value.isString() && !ok) {
-                error = "bad value for 'precision': " + precisionError;
-                return false;
-            }
-        } else {
-            error = "unknown key '" + key + "'";
+    // "tenant" is the one key outside the task grammar.
+    std::map<std::string, io::JsonValue> keys = doc.asObject();
+    if (const auto tenant = keys.find("tenant"); tenant != keys.end()) {
+        if (!tenant->second.isString() ||
+            !safeName(tenant->second.asString())) {
+            error = "bad value for 'tenant'";
             return false;
         }
-        if (!ok) {
-            error = "bad value for '" + key + "'";
-            return false;
-        }
+        sub.tenant = tenant->second.asString();
+        keys.erase(tenant);
     }
-
-    if (hasAirframe && hasMix) {
-        error = "'airframe' and 'mission_mix' are mutually exclusive";
+    std::string badKey;
+    if (!applyTaskKeys(keys, sub.task, error, badKey))
         return false;
-    }
-    // "airframe" is single-scenario shorthand; quad is the default and
-    // keeps the implicit mix empty (fingerprint-identical to legacy).
-    if (hasAirframe && airframeKind != uav::AirframeKind::Quadrotor) {
-        uav::MissionScenario scenario = uav::defaultMissionScenario();
-        scenario.airframe = airframeKind;
-        sub.task.spec.missionMix.scenarios = {scenario};
-    }
-
-    // Bank-level simulation is active for the "dram" backend (or for
-    // "tiered" when a dram_* key opts the verify tier in). The same
-    // camera/host rates then shape traffic generators instead of the
-    // flat contention surcharge, which stays zero so the channel is
-    // never charged twice for the same bytes.
-    const bool wantsDram =
-        sub.task.spec.backend == "dram" ||
-        (hasDramKey && sub.task.spec.backend == "tiered");
-    if (hasDramKey && !wantsDram) {
-        error = "dram_* keys require backend 'dram' or 'tiered'";
-        return false;
-    }
-    if (wantsDram) {
-        sub.task.spec.dram =
-            dram::uavDramSpec(dramTiming, cameraMbps * 1e6,
-                              hostMbps * 1e6);
-        std::string dramError = sub.task.spec.dram.infeasibleReason();
-        if (!dramError.empty()) {
-            error = "infeasible dram channel: " + dramError;
-            return false;
-        }
-    } else {
-        sub.task.spec.contention.cameraBytesPerSec = cameraMbps * 1e6;
-        sub.task.spec.contention.hostBytesPerSec = hostMbps * 1e6;
-    }
     out = std::move(sub);
     return true;
 }
@@ -415,8 +416,8 @@ CampaignService::CampaignService(const ServiceConfig &config)
                   "CampaignService: maxActiveCampaigns must be >= 1");
     util::fatalIf(cfg.poolThreads < 0,
                   "CampaignService: poolThreads must be >= 0");
-    util::fatalIf(cfg.pollSeconds < 0.0,
-                  "CampaignService: pollSeconds must be >= 0");
+    util::fatalIf(!std::isfinite(cfg.pollSeconds) || cfg.pollSeconds < 0.0,
+                  "CampaignService: pollSeconds must be finite and >= 0");
     util::fatalIf(cfg.maxCampaigns < 0,
                   "CampaignService: maxCampaigns must be >= 0");
     util::validateRetryPolicy(cfg.retry);
@@ -489,6 +490,8 @@ CampaignService::recoverActive(ServiceReport &report)
     for (const fs::path &path : files) {
         const std::string id = path.stem().string();
         auto pending = std::make_unique<Pending>();
+        pending->sub.id = safeName(id) ? id : "invalid";
+        pending->sub.tenant = "-";
         std::string error;
         if (!parseSubmission(id, readWholeFile(path.string()),
                              pending->sub, error)) {

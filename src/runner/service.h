@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "io/json.h"
 #include "runner/campaign.h"
 #include "uav/mission_profile.h"
 #include "util/cancel.h"
@@ -70,22 +71,39 @@ struct CampaignSubmission
 };
 
 /**
- * Parse and validate one submission document. @p id (the inbox file
- * stem) becomes the campaign id and task name. Returns false with a
- * diagnostic in @p error on any problem - malformed JSON, unknown keys,
- * bad types, out-of-range values, unknown backend/optimizer/uav/density
- * names - without ever calling fatal(): the service must reject one
- * file, not die.
+ * The task grammar shared by service submissions and campaign_runner's
+ * flags. Applies @p keys over @p task, whose fields on entry are the
+ * caller's defaults; a field no key names keeps its default.
  *
- * Recognized keys (all optional):
- *   tenant (string, default "default"), density (low|medium|high),
- *   episodes, budget, seed, threads (numbers), optimizer, backend
- *   (registry names), uav (nano|spark|pelican), deadline_s,
- *   camera_mbps, host_mbps, npu_floor (numbers), airframe
- *   (quad|fixed-wing: single-scenario shorthand), mission_mix (array
- *   of scenario objects, see parseMissionMix; mutually exclusive with
- *   airframe). A submission naming neither flies the legacy quadrotor
- *   point-to-point mission, byte-identical to pre-airframe results.
+ * Keys: density (low|medium|dense), episodes, budget, seed, threads
+ * (integers), optimizer (dse::optimizerNames), backend (registry
+ * names), uav (nano|spark|pelican), deadline_s, camera_mbps, host_mbps,
+ * npu_floor (numbers), dram_banks, row_policy (open|closed),
+ * dram_timing ("tCAS:tRCD:tRP[:tREFI:tRFC]"), precision
+ * ("int8[,fp16[,fp32]]"), airframe (quad|fixed-wing: single-scenario
+ * shorthand) and mission_mix (array of scenario objects, see
+ * parseMissionMix; mutually exclusive with airframe). Without either
+ * the task keeps the caller's mix. The camera/host rates program
+ * bank-level generators (spec.dram) for the "dram" backend, or for
+ * "tiered" with a dram_* key, and the flat spec.contention surcharge
+ * otherwise - never both.
+ *
+ * Returns false with a diagnostic in @p error and the key it blames in
+ * @p badKey ("" when no one key is at fault); never calls fatal().
+ */
+bool applyTaskKeys(const std::map<std::string, io::JsonValue> &keys,
+                   CampaignTask &task, std::string &error,
+                   std::string &badKey);
+
+/**
+ * Parse and validate one submission document: a JSON object of
+ * applyTaskKeys keys plus "tenant" (fair-share key, default
+ * "default"), applied over the service defaults (40 episodes, budget
+ * 30, the nano UAV). @p id (the inbox file stem) becomes the campaign
+ * id and task name. Returns false with a diagnostic in @p error on any
+ * problem - malformed JSON, unknown keys, bad types, out-of-range
+ * values, unknown names - without ever calling fatal(): the service
+ * must reject one file, not die.
  */
 bool parseSubmission(const std::string &id, const std::string &text,
                      CampaignSubmission &out, std::string &error);
@@ -96,10 +114,11 @@ bool parseSubmission(const std::string &id, const std::string &text,
  * (quad|fixed-wing), mission (nav|search|delivery), weight and the
  * per-class numbers distance_m, area_m2 and spacing_m (search),
  * payload_g (delivery). Unknown keys are rejected and the assembled
- * mix is validated with uav::MissionMix::check. The same grammar is
- * accepted inline under a submission's "mission_mix" key and as the
- * standalone file behind campaign_runner's --mission-mix flag. Returns
- * false with a diagnostic in @p error; never calls fatal().
+ * mix is validated with uav::MissionMix::check. This is the grammar
+ * of the "mission_mix" key (see applyTaskKeys), which a submission
+ * holds inline and campaign_runner's --mission-mix flag reads from a
+ * file. Returns false with a diagnostic in @p error; never calls
+ * fatal().
  */
 bool parseMissionMix(const std::string &text, uav::MissionMix &out,
                      std::string &error);

@@ -16,13 +16,22 @@ Deadline
 Deadline::after(double seconds)
 {
     Deadline deadline;
-    if (seconds <= 0.0)
+    if (!(seconds > 0.0))
         return deadline; // Unlimited.
     deadline.bounded = true;
     deadline.budgetSeconds = seconds;
+    // Saturate at the clock's end instead of overflowing its int64
+    // tick count (a budget past ~292 years would wrap into the past).
+    // The 1 s margin absorbs rounding in the double comparison.
+    const Clock::time_point now = Clock::now();
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now)
+            .count();
     deadline.expiry =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds));
+        seconds < headroom - 1.0
+            ? now + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(seconds))
+            : Clock::time_point::max();
     return deadline;
 }
 

@@ -46,8 +46,9 @@ class Deadline
     Deadline() = default;
 
     /**
-     * Deadline @p seconds from now; a non-positive budget means
-     * unlimited (the "no deadline" encoding used by config structs).
+     * Deadline @p seconds from now; a non-positive (or NaN) budget
+     * means unlimited (the "no deadline" encoding used by config
+     * structs). A budget past the clock's range saturates at its end.
      */
     static Deadline after(double seconds);
 

@@ -357,6 +357,23 @@ TEST(Deadline, ExpiresAndThrowsWithContext)
     }
 }
 
+TEST(Deadline, HugeBudgetSaturatesInsteadOfWrapping)
+{
+    // Past ~9.2e9 s the expiry no longer fits the clock's int64 ticks;
+    // it must saturate, not wrap into the past (or hit UB at 1e300).
+    for (const double seconds :
+         {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+        const util::Deadline deadline = util::Deadline::after(seconds);
+        EXPECT_FALSE(deadline.unlimited()) << seconds;
+        EXPECT_FALSE(deadline.expired()) << seconds;
+        EXPECT_GT(deadline.remainingSeconds(), 0.0) << seconds;
+        EXPECT_NO_THROW(deadline.check("phase1")) << seconds;
+    }
+    EXPECT_TRUE(
+        util::Deadline::after(std::numeric_limits<double>::quiet_NaN())
+            .unlimited());
+}
+
 // ------------------------------------------------------------- journal ----
 
 TEST(Journal, RoundTripsBatchesWithFingerprint)
@@ -1061,6 +1078,20 @@ TEST(Campaign, ResumedCampaignReproducesUninterruptedReport)
     EXPECT_EQ(fileBytes(root / "dense" / "journal.csv"),
               goldenJournal);
     fs::remove_all(root);
+}
+
+TEST(CampaignDeath, RejectsNonFiniteDeadline)
+{
+    runner::CampaignTask task;
+    task.name = "nan";
+    task.spec = smallSpec();
+    task.deadlineSeconds = std::numeric_limits<double>::quiet_NaN();
+    runner::CampaignRunner campaign;
+    EXPECT_EXIT(campaign.run(std::vector<runner::CampaignTask>{task}),
+                ::testing::ExitedWithCode(1), "deadline");
+    task.deadlineSeconds = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(campaign.run(std::vector<runner::CampaignTask>{task}),
+                ::testing::ExitedWithCode(1), "deadline");
 }
 
 TEST(CampaignDeath, RejectsDuplicateOrUnnamedTasks)

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 
 #include <unistd.h>
 
+#include "airlearning/environment.h"
+#include "io/json.h"
 #include "runner/campaign.h"
 #include "runner/service.h"
 #include "util/cancel.h"
@@ -328,6 +332,108 @@ TEST(Submission, ParseMissionMixReadsStandaloneDocuments)
     EXPECT_FALSE(error.empty());
 }
 
+// ------------------------------------------------------- task grammar ----
+
+TEST(TaskKeys, SameKeysOverDifferentDefaults)
+{
+    namespace io = autopilot::io;
+    const std::map<std::string, io::JsonValue> keys = {
+        {"budget", io::JsonValue::makeNumber(12)},
+        {"optimizer", io::JsonValue::makeString("sa")},
+        {"camera_mbps", io::JsonValue::makeNumber(2.5)},
+        {"airframe", io::JsonValue::makeString("fixed-wing")},
+        {"precision", io::JsonValue::makeString("int8,fp16")},
+    };
+
+    // campaign_runner's defaults and the service's, as each caller
+    // sets them before applying the same grammar.
+    runner::CampaignTask cli;
+    cli.spec.validationEpisodes = 80;
+    cli.spec.dseBudget = 60;
+    cli.spec.density = autopilot::airlearning::ObstacleDensity::Dense;
+    cli.uav = uav::zhangNano();
+    cli.deadlineSeconds = 5.0;
+    runner::CampaignTask service;
+    service.spec.validationEpisodes = 40;
+    service.spec.dseBudget = 30;
+    service.spec.seed = 99;
+    service.uav = uav::djiSpark();
+
+    for (runner::CampaignTask *task : {&cli, &service}) {
+        std::string error;
+        std::string badKey;
+        ASSERT_TRUE(runner::applyTaskKeys(keys, *task, error, badKey))
+            << error;
+        EXPECT_EQ(task->spec.dseBudget, 12);
+        EXPECT_EQ(task->spec.optimizer, "sa");
+        EXPECT_DOUBLE_EQ(task->spec.contention.cameraBytesPerSec, 2.5e6);
+        EXPECT_FALSE(task->spec.dram.enabled());
+        ASSERT_EQ(task->spec.missionMix.scenarios.size(), 1u);
+        EXPECT_EQ(task->spec.missionMix.scenarios[0].airframe,
+                  uav::AirframeKind::FixedWing);
+        EXPECT_EQ(task->spec.precisions, (std::vector<int>{1, 2}));
+        EXPECT_EQ(task->spec.backend, "analytical");
+    }
+    // Fields no key names keep each caller's own value.
+    EXPECT_EQ(cli.spec.validationEpisodes, 80);
+    EXPECT_EQ(service.spec.validationEpisodes, 40);
+    EXPECT_EQ(cli.spec.density,
+              autopilot::airlearning::ObstacleDensity::Dense);
+    EXPECT_EQ(service.spec.density,
+              autopilot::airlearning::ObstacleDensity::Low);
+    EXPECT_DOUBLE_EQ(cli.deadlineSeconds, 5.0);
+    EXPECT_DOUBLE_EQ(service.deadlineSeconds, 0.0);
+    EXPECT_EQ(service.spec.seed, 99u);
+    EXPECT_EQ(cli.uav.name, uav::zhangNano().name);
+    EXPECT_EQ(service.uav.name, uav::djiSpark().name);
+}
+
+TEST(TaskKeys, BlamesTheOffendingKey)
+{
+    namespace io = autopilot::io;
+    const struct
+    {
+        std::map<std::string, io::JsonValue> keys;
+        const char *badKey;
+    } cases[] = {
+        {{{"budget", io::JsonValue::makeNumber(0)}}, "budget"},
+        {{{"deadline_s", io::JsonValue::makeNumber(
+                             std::numeric_limits<double>::quiet_NaN())}},
+         "deadline_s"},
+        {{{"mission_mix", io::JsonValue::makeNumber(1)}}, "mission_mix"},
+        {{{"airframe", io::JsonValue::makeString("fixed-wing")},
+          {"mission_mix", io::JsonValue::makeArray({})}},
+         "airframe"},
+        {{{"dram_banks", io::JsonValue::makeNumber(8)}}, "backend"},
+        // An infeasible channel spans keys: no single one is blamed.
+        {{{"backend", io::JsonValue::makeString("dram")},
+          {"camera_mbps", io::JsonValue::makeNumber(100)},
+          {"dram_timing", io::JsonValue::makeString("4:4:4:10:36")}},
+         ""},
+    };
+    for (const auto &bad : cases) {
+        runner::CampaignTask task;
+        std::string error;
+        std::string badKey = "unset";
+        EXPECT_FALSE(runner::applyTaskKeys(bad.keys, task, error, badKey));
+        EXPECT_FALSE(error.empty());
+        EXPECT_EQ(badKey, bad.badKey) << error;
+    }
+}
+
+TEST(ServiceDeath, RejectsNonFinitePollInterval)
+{
+    const fs::path root = testDir("nan_poll");
+    runner::ServiceConfig config = fastConfig(root);
+    config.pollSeconds = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(runner::CampaignService{config},
+                ::testing::ExitedWithCode(1), "pollSeconds");
+    config.pollSeconds = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(runner::CampaignService{config},
+                ::testing::ExitedWithCode(1), "pollSeconds");
+    fs::remove_all(root);
+}
+
 // ------------------------------------------------------- service loop ----
 
 TEST(Service, InboxToResultRoundTripWithRejects)
@@ -397,6 +503,25 @@ TEST(Service, FairShareAdmissionRotatesAcrossTenants)
     EXPECT_EQ(statusField(root, "bob-1", "admitted"), "1")
         << "bob's single campaign must not wait out alice's burst";
     EXPECT_EQ(statusField(root, "alice-2", "admitted"), "2");
+}
+
+TEST(Service, CorruptActiveSubmissionIsRejectedUnderItsId)
+{
+    const fs::path root = testDir("corrupt_active");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxCampaigns = 1;
+    fs::create_directories(root / "active");
+    std::ofstream(root / "active" / "broken.json") << R"({"budget": 0})";
+
+    const runner::ServiceReport report =
+        runner::CampaignService(config).serve();
+    EXPECT_EQ(report.rejected, 1u);
+    EXPECT_EQ(statusField(root, "broken", "state"), "rejected");
+    EXPECT_EQ(statusField(root, "broken", "detail"),
+              "bad value for 'budget'");
+    EXPECT_FALSE(fs::exists(root / "status" / ".status"));
+    EXPECT_TRUE(fs::exists(root / "done" / "broken.rejected"));
+    fs::remove_all(root);
 }
 
 TEST(Service, DuplicateIdIsRejectedAfterCompletion)
