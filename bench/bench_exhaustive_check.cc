@@ -67,8 +67,8 @@ main()
                                  .averagePowerW(result);
                 const double payload =
                     mass_model.computePayloadGrams(entry.npuW);
-                const int sensor = mission_model.selectSensorFps(
-                    uav::F1Model(nano, payload).kneeThroughputHz());
+                const int sensor =
+                    mission_model.sensorFpsAtKnee(payload);
                 entry.missions =
                     mission_model
                         .evaluate(payload,

@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "power/mass_model.h"
-#include "uav/f1_model.h"
+#include "uav/airframe.h"
 #include "uav/propulsion.h"
 #include "uav/uav_spec.h"
 #include "util/table.h"
@@ -44,17 +44,18 @@ main()
     for (const Case &c : cases) {
         const double payload =
             mass_model.computePayloadGrams(c.npuPowerW);
-        const uav::F1Model f1(c.spec, payload);
-        const double accel = uav::maxAccelerationMps2(
-            c.spec, f1.totalMassGrams());
+        const uav::QuadrotorAirframe quad(c.spec);
+        const double mass = quad.totalMassGrams(payload);
+        const double accel = uav::maxAccelerationMps2(c.spec, mass);
+        const double knee = quad.kneeThroughputHz(mass);
         table.addRow({c.spec.name, util::formatDouble(payload, 1),
                       util::formatDouble(accel, 1),
-                      util::formatDouble(f1.velocityCeilingMps(), 1),
-                      util::formatDouble(f1.kneeThroughputHz(), 1)});
+                      util::formatDouble(quad.velocityCeilingMps(mass), 1),
+                      util::formatDouble(knee, 1)});
         if (c.spec.uavClass == uav::UavClass::Micro)
-            knee_spark = f1.kneeThroughputHz();
+            knee_spark = knee;
         else
-            knee_nano = f1.kneeThroughputHz();
+            knee_nano = knee;
     }
     table.print(std::cout);
 
@@ -65,14 +66,17 @@ main()
     // F-1 curves (Fig. 11a): safe velocity vs action throughput.
     std::cout << "\nF-1 curves (velocity m/s at throughput Hz):\n";
     util::Table curve({"throughput (Hz)", "DJI Spark", "nano-UAV"});
-    const uav::F1Model spark_f1(
-        cases[0].spec, mass_model.computePayloadGrams(cases[0].npuPowerW));
-    const uav::F1Model nano_f1(
-        cases[1].spec, mass_model.computePayloadGrams(cases[1].npuPowerW));
+    const uav::QuadrotorAirframe spark(cases[0].spec);
+    const uav::QuadrotorAirframe nano(cases[1].spec);
+    const double spark_mass = spark.totalMassGrams(
+        mass_model.computePayloadGrams(cases[0].npuPowerW));
+    const double nano_mass = nano.totalMassGrams(
+        mass_model.computePayloadGrams(cases[1].npuPowerW));
     for (double hz : {5.0, 10.0, 20.0, 27.0, 35.0, 46.0, 60.0, 90.0}) {
-        curve.addRow({util::formatDouble(hz, 0),
-                      util::formatDouble(spark_f1.safeVelocityMps(hz), 2),
-                      util::formatDouble(nano_f1.safeVelocityMps(hz), 2)});
+        curve.addRow(
+            {util::formatDouble(hz, 0),
+             util::formatDouble(spark.safeVelocityMps(hz, spark_mass), 2),
+             util::formatDouble(nano.safeVelocityMps(hz, nano_mass), 2)});
     }
     curve.print(std::cout);
     return 0;

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "uav/f1_model.h"
+#include "uav/airframe.h"
 
 using namespace autopilot;
 
@@ -75,13 +75,14 @@ main()
                  "across candidates:\n";
     util::Table relations(
         {"design", "NPU W", "payload g", "v ceiling m/s"});
+    const uav::QuadrotorAirframe quad(nano);
     for (const core::FullSystemDesign &candidate : run.candidates) {
-        const uav::F1Model f1(nano, candidate.payloadGrams);
+        const double mass = quad.totalMassGrams(candidate.payloadGrams);
         relations.addRow(
             {candidate.eval.point.accel.name(),
              util::formatDouble(candidate.eval.npuPowerW, 2),
              util::formatDouble(candidate.payloadGrams, 1),
-             util::formatDouble(f1.velocityCeilingMps(), 1)});
+             util::formatDouble(quad.velocityCeilingMps(mass), 1)});
     }
     relations.print(std::cout);
 

@@ -13,7 +13,6 @@
 #include "core/autopilot.h"
 #include "core/fine_tuning.h"
 #include "power/mass_model.h"
-#include "uav/f1_model.h"
 #include "uav/mission.h"
 #include "util/table.h"
 

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "uav/f1_model.h"
+#include "uav/airframe.h"
 
 namespace autopilot::bench
 {
@@ -65,14 +65,15 @@ runPitfallBench(core::DesignStrategy strategy, double paper_ratio)
     util::Table f1_table({"design", "action Hz", "knee Hz",
                           "v ceiling m/s", "v_safe m/s",
                           "provisioning"});
+    const uav::QuadrotorAirframe quad(nano);
     for (const auto *design : {&other, &ap}) {
         const bool is_ap = design == &ap;
-        const uav::F1Model f1(nano, design->payloadGrams);
+        const double mass = quad.totalMassGrams(design->payloadGrams);
         f1_table.addRow(
             {is_ap ? "AP" : core::strategyName(strategy),
              util::formatDouble(design->mission.actionThroughputHz, 1),
              util::formatDouble(design->mission.kneeThroughputHz, 1),
-             util::formatDouble(f1.velocityCeilingMps(), 1),
+             util::formatDouble(quad.velocityCeilingMps(mass), 1),
              util::formatDouble(design->mission.safeVelocityMps, 1),
              uav::provisioningName(design->mission.provisioning)});
     }

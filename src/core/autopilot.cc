@@ -7,7 +7,6 @@
 #include "dse/eval_backend.h"
 #include "io/journal.h"
 #include "power/mass_model.h"
-#include "uav/f1_model.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
 
@@ -288,15 +287,13 @@ AutoPilot::mapToFullSystem(const dse::Evaluation &eval,
         const uav::MissionModel mission_model(uav, scenario.airframe,
                                               scenario.profile);
         // Sensor selection is per scenario: each airframe has its own
-        // knee (the quadrotor default reproduces the F1Model pick).
-        const uav::Airframe &airframe = mission_model.airframe();
-        const double knee = airframe.kneeThroughputHz(
-            airframe.totalMassGrams(design.payloadGrams));
+        // knee.
         ScenarioOutcome outcome;
         outcome.name = scenario.name;
         outcome.airframe = scenario.airframe;
         outcome.weight = scenario.weight;
-        outcome.sensorFps = mission_model.selectSensorFps(knee);
+        outcome.sensorFps =
+            mission_model.sensorFpsAtKnee(design.payloadGrams);
         outcome.mission = mission_model.evaluate(
             design.payloadGrams, eval.socPowerW, eval.fps,
             static_cast<double>(outcome.sensorFps));

@@ -1,7 +1,6 @@
 #include "core/baseline_eval.h"
 
 #include "power/soc_power.h"
-#include "uav/f1_model.h"
 
 namespace autopilot::core
 {
@@ -19,9 +18,7 @@ evaluateBaselineOnUav(const BaselinePlatform &platform,
     result.payloadGrams = platform.massGrams;
 
     const uav::MissionModel mission_model(uav);
-    const uav::F1Model f1(uav, result.payloadGrams);
-    result.sensorFps =
-        mission_model.selectSensorFps(f1.kneeThroughputHz());
+    result.sensorFps = mission_model.sensorFpsAtKnee(result.payloadGrams);
     result.mission = mission_model.evaluate(
         result.payloadGrams, result.computePowerW, result.fps,
         static_cast<double>(result.sensorFps));

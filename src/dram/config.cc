@@ -1,7 +1,9 @@
 #include "dram/config.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/logging.h"
 
@@ -195,26 +197,39 @@ bool
 parseDramTiming(const std::string &text, DramTiming &timing,
                 std::string &error)
 {
+    // Split on every ':' so an empty field (leading, doubled or
+    // trailing separator) is a field of its own and gets rejected.
+    std::vector<std::string> tokens(1);
+    for (const char c : text) {
+        if (c == ':')
+            tokens.emplace_back();
+        else
+            tokens.back() += c;
+    }
+    if (tokens.size() != 3 && tokens.size() != 5) {
+        error = "want tCAS:tRCD:tRP[:tREFI:tRFC], got '" + text + "'";
+        return false;
+    }
     std::vector<std::int64_t> fields;
-    std::istringstream in(text);
-    std::string token;
-    while (std::getline(in, token, ':')) {
+    for (const std::string &token : tokens) {
+        // Plain digits only: std::stoll alone would accept leading
+        // whitespace and a sign.
+        bool ok = !token.empty() &&
+                  std::all_of(token.begin(), token.end(), [](char c) {
+                      return c >= '0' && c <= '9';
+                  });
         std::int64_t value = 0;
-        std::size_t consumed = 0;
         try {
-            value = std::stoll(token, &consumed);
-        } catch (const std::exception &) {
-            consumed = 0;
+            if (ok)
+                value = std::stoll(token);
+        } catch (const std::out_of_range &) {
+            ok = false;
         }
-        if (consumed != token.size() || token.empty()) {
+        if (!ok) {
             error = "bad cycle count '" + token + "' in '" + text + "'";
             return false;
         }
         fields.push_back(value);
-    }
-    if (fields.size() != 3 && fields.size() != 5) {
-        error = "want tCAS:tRCD:tRP[:tREFI:tRFC], got '" + text + "'";
-        return false;
     }
     timing.tCasCycles = fields[0];
     timing.tRcdCycles = fields[1];

@@ -35,6 +35,17 @@ airframeKindFromName(const std::string &name, AirframeKind &out)
     return false;
 }
 
+std::string
+provisioningName(Provisioning provisioning)
+{
+    switch (provisioning) {
+      case Provisioning::UnderProvisioned: return "under-provisioned";
+      case Provisioning::Balanced:         return "balanced";
+      case Provisioning::OverProvisioned:  return "over-provisioned";
+    }
+    return "?";
+}
+
 Airframe::Airframe(const UavSpec &spec) : uavSpec(spec)
 {
     uavSpec.validate();
@@ -57,15 +68,14 @@ Airframe::actionThroughputHz(double compute_fps, double sensor_fps) const
 }
 
 Provisioning
-Airframe::classify(double throughput_hz, double total_mass_g,
-                   double tolerance) const
+Airframe::classify(double throughput_hz, double total_mass_g) const
 {
     const double knee = kneeThroughputHz(total_mass_g);
     if (knee <= 0.0)
         return Provisioning::OverProvisioned;
-    if (throughput_hz < knee * (1.0 - tolerance))
+    if (throughput_hz < knee * (1.0 - kBalancedKneeBand))
         return Provisioning::UnderProvisioned;
-    if (throughput_hz > knee * (1.0 + tolerance))
+    if (throughput_hz > knee * (1.0 + kBalancedKneeBand))
         return Provisioning::OverProvisioned;
     return Provisioning::Balanced;
 }
@@ -83,7 +93,6 @@ QuadrotorAirframe::canFly(double total_mass_g) const
 double
 QuadrotorAirframe::velocityCeilingMps(double total_mass_g) const
 {
-    // Identical arithmetic to F1Model::velocityCeilingMps.
     const double a_max = maxAccelerationMps2(uavSpec, total_mass_g);
     if (a_max <= 0.0)
         return 0.0;

@@ -8,9 +8,11 @@
  * rotorcraft's ceiling is braking-limited and its power is momentum-theory
  * induced power, while a fixed wing has a stall-speed floor, a
  * turn-radius-limited path and a far better lift-to-drag J/m. Everything
- * the mission evaluator asks about the vehicle goes through this
- * interface; QuadrotorAirframe reproduces the original F1Model/propulsion
- * arithmetic bit for bit, so existing quadrotor results are unchanged.
+ * the mission evaluator, the bottleneck analyzer and the baselines ask
+ * about the vehicle goes through this interface. QuadrotorAirframe is the
+ * one rotorcraft F-1 model (v_safe = min(d_clear * theta, v_ceiling),
+ * v_ceiling = min(sqrt(2 * a_max * d_sense), structural limit)); an exact
+ * golden table in the tests pins its numbers.
  */
 
 #ifndef AUTOPILOT_UAV_AIRFRAME_H
@@ -19,7 +21,6 @@
 #include <memory>
 #include <string>
 
-#include "uav/f1_model.h"
 #include "uav/uav_spec.h"
 
 namespace autopilot::uav
@@ -31,6 +32,23 @@ enum class AirframeKind
     Quadrotor, ///< Rotorcraft: hovers, turns in place, induced-power cruise.
     FixedWing, ///< Fixed wing: stall floor, banked turns, L/D cruise.
 };
+
+/** Provisioning classification of a design against the knee point. */
+enum class Provisioning
+{
+    UnderProvisioned, ///< Below the knee: velocity is compute-bound.
+    Balanced,         ///< At the knee (within kBalancedKneeBand).
+    OverProvisioned,  ///< Beyond the knee: extra throughput buys nothing.
+};
+
+/** Human-readable provisioning label. */
+std::string provisioningName(Provisioning provisioning);
+
+/**
+ * Relative band around the knee that Airframe::classify treats as
+ * balanced (Fig. 4b).
+ */
+constexpr double kBalancedKneeBand = 0.15;
 
 /**
  * Safe velocities below this are treated as "cannot move": the mission
@@ -117,9 +135,12 @@ class Airframe
     /** Pipeline action throughput: slowest of sensor/compute/control. */
     double actionThroughputHz(double compute_fps, double sensor_fps) const;
 
-    /** Provisioning of a throughput against this airframe's knee. */
-    Provisioning classify(double throughput_hz, double total_mass_g,
-                          double tolerance = 0.15) const;
+    /**
+     * Provisioning of a throughput against this airframe's knee, with
+     * kBalancedKneeBand as the balanced band.
+     */
+    Provisioning classify(double throughput_hz,
+                          double total_mass_g) const;
 
     const UavSpec &spec() const { return uavSpec; }
 
@@ -130,9 +151,8 @@ class Airframe
 };
 
 /**
- * The original rotorcraft model behind a virtual interface. Every method
- * performs the identical arithmetic of F1Model/propulsion, so quadrotor
- * missions through Airframe are byte-identical to the concrete path.
+ * The rotorcraft F-1 model: braking-limited ceiling from the thrust
+ * budget (propulsion.h), turn in place, momentum-theory rotor power.
  */
 class QuadrotorAirframe final : public Airframe
 {

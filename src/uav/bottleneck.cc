@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "uav/airframe.h"
 #include "util/logging.h"
 
 namespace autopilot::uav
@@ -35,15 +36,16 @@ analyzeBottleneck(const UavSpec &spec, double compute_payload_g,
     util::fatalIf(compute_fps <= 0.0 || sensor_fps <= 0.0,
                   "analyzeBottleneck: rates must be positive");
 
-    const F1Model f1(spec, compute_payload_g);
+    const QuadrotorAirframe quad(spec);
+    const double mass = quad.totalMassGrams(compute_payload_g);
 
     BottleneckReport report;
     report.actionThroughputHz =
-        f1.actionThroughputHz(compute_fps, sensor_fps);
-    report.kneeThroughputHz = f1.kneeThroughputHz();
+        quad.actionThroughputHz(compute_fps, sensor_fps);
+    report.kneeThroughputHz = quad.kneeThroughputHz(mass);
     report.safeVelocityMps =
-        f1.safeVelocityMps(report.actionThroughputHz);
-    report.velocityCeilingMps = f1.velocityCeilingMps();
+        quad.safeVelocityMps(report.actionThroughputHz, mass);
+    report.velocityCeilingMps = quad.velocityCeilingMps(mass);
 
     const bool throughput_bound =
         report.actionThroughputHz < report.kneeThroughputHz;
@@ -64,15 +66,16 @@ analyzeBottleneck(const UavSpec &spec, double compute_payload_g,
             remaining = std::min(remaining, sensor_fps);
         if (report.stage != BottleneckStage::Compute)
             remaining = std::min(remaining, compute_fps);
-        report.unboundedVelocityMps = f1.safeVelocityMps(remaining);
+        report.unboundedVelocityMps =
+            quad.safeVelocityMps(remaining, mass);
     } else {
         report.stage = BottleneckStage::BodyDynamics;
         // Massless compute payload: the best ceiling this airframe can
         // reach with its current throughput.
-        const F1Model unloaded(spec, 0.0);
+        const double unloaded = quad.totalMassGrams(0.0);
         report.unboundedVelocityMps = std::min(
-            unloaded.velocityCeilingMps(),
-            unloaded.safeVelocityMps(report.actionThroughputHz));
+            quad.velocityCeilingMps(unloaded),
+            quad.safeVelocityMps(report.actionThroughputHz, unloaded));
     }
     return report;
 }

@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "uav/f1_model.h"
 #include "uav/uav_spec.h"
 
 namespace autopilot::uav

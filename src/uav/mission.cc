@@ -155,4 +155,11 @@ MissionModel::selectSensorFps(double required_hz) const
     return choices.back();
 }
 
+int
+MissionModel::sensorFpsAtKnee(double compute_payload_g) const
+{
+    return selectSensorFps(
+        frame->kneeThroughputHz(frame->totalMassGrams(compute_payload_g)));
+}
+
 } // namespace autopilot::uav

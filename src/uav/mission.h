@@ -13,8 +13,10 @@
  * mission profile's effective path (search lanes, delivery legs, and the
  * turn-radius stretch fixed wings pay per course reversal).
  *
- * The default construction (one UavSpec) is the legacy quadrotor
- * point-to-point model and is evaluated with bit-identical arithmetic.
+ * The model also owns the Section V-C sensor rule: carry the slowest
+ * sensor that does not fall below the airframe's knee at all-up mass.
+ * The default construction (one UavSpec) is the quadrotor
+ * point-to-point model.
  */
 
 #ifndef AUTOPILOT_UAV_MISSION_H
@@ -24,7 +26,6 @@
 #include <string>
 
 #include "uav/airframe.h"
-#include "uav/f1_model.h"
 #include "uav/mission_profile.h"
 #include "uav/uav_spec.h"
 
@@ -55,8 +56,8 @@ class MissionModel
 {
   public:
     /**
-     * Legacy model: quadrotor point-to-point on @p spec, bit-identical
-     * to the original concrete implementation.
+     * Quadrotor point-to-point on @p spec: the same as the explicit
+     * (Quadrotor, default MissionProfile) construction.
      *
      * @param spec Vehicle specification (validated).
      */
@@ -84,6 +85,12 @@ class MissionModel
      * sensor-bound").
      */
     int selectSensorFps(double required_hz) const;
+
+    /**
+     * The Section V-C pick for a design: selectSensorFps of this
+     * airframe's knee at the all-up mass for @p compute_payload_g.
+     */
+    int sensorFpsAtKnee(double compute_payload_g) const;
 
     const UavSpec &spec() const { return uavSpec; }
     const Airframe &airframe() const { return *frame; }

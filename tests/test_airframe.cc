@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the pluggable airframe + mission-mix layer: quadrotor
- * parity with the concrete F1Model/propulsion path (the refactor must
- * be byte-identical for the legacy workload), fixed-wing envelope
+ * Tests for the pluggable airframe + mission-mix layer: the quadrotor
+ * F-1 envelope pinned to an exact golden table, fixed-wing envelope
  * properties (stall floor, knee shift, L/D energy advantage), mission
  * profiles, infeasibility diagnoses and the weighted fleet objective.
  */
@@ -10,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -17,7 +17,6 @@
 #include "core/autopilot.h"
 #include "core/report.h"
 #include "uav/airframe.h"
-#include "uav/f1_model.h"
 #include "uav/fixed_wing.h"
 #include "uav/mission.h"
 #include "uav/mission_profile.h"
@@ -89,23 +88,116 @@ TEST(Airframe, FactoryBuildsRequestedKind)
               uav::AirframeKind::FixedWing);
 }
 
-// ----------------------------------------------------- quadrotor parity --
+// ----------------------------------------- quadrotor golden and parity --
 
-TEST(QuadrotorParity, MatchesF1ModelBitForBit)
+namespace
 {
+
+constexpr uav::Provisioning kU = uav::Provisioning::UnderProvisioned;
+constexpr uav::Provisioning kB = uav::Provisioning::Balanced;
+constexpr uav::Provisioning kO = uav::Provisioning::OverProvisioned;
+
+/** One (vehicle, compute payload) row of the quadrotor golden table. */
+struct QuadGolden
+{
+    const char *vehicle;
+    double payloadG;
+    double massG, ceilingMps, kneeHz;
+    double safeMps[4];            ///< At kGoldenHz.
+    uav::Provisioning classes[4]; ///< At kGoldenHz.
+};
+
+constexpr double kGoldenHz[4] = {1.0, 10.0, 46.0, 200.0};
+
+// allUavs() x payloads {0, 5, 20, 60} g, printed with %a. Any change to
+// these bits changes every Phase 3 number and must be justified on its
+// own.
+const QuadGolden kQuadGolden[] = {
+    {"AscTec Pelican", 0.0,
+     0x1.9c8p+10, 0x1.07f94837653e7p+4, 0x1.b7f4cdb1a8bd7p+4,
+     {0x1.3333333333333p-1, 0x1.8p+2,
+      0x1.07f94837653e7p+4, 0x1.07f94837653e7p+4},
+     {kU, kU, kO, kO}},
+    {"AscTec Pelican", 5.0,
+     0x1.9dcp+10, 0x1.0771134d7795ap+4, 0x1.b711cad671f96p+4,
+     {0x1.3333333333333p-1, 0x1.8p+2,
+      0x1.0771134d7795ap+4, 0x1.0771134d7795ap+4},
+     {kU, kU, kO, kO}},
+    {"AscTec Pelican", 20.0,
+     0x1.a18p+10, 0x1.05dae5e7529e9p+4, 0x1.b46cd48189b2fp+4,
+     {0x1.3333333333333p-1, 0x1.8p+2,
+      0x1.05dae5e7529e9p+4, 0x1.05dae5e7529e9p+4},
+     {kU, kU, kO, kO}},
+    {"AscTec Pelican", 60.0,
+     0x1.ab8p+10, 0x1.01b0f69526069p+4, 0x1.ad7c45a33f605p+4,
+     {0x1.3333333333333p-1, 0x1.8p+2,
+      0x1.01b0f69526069p+4, 0x1.01b0f69526069p+4},
+     {kU, kU, kO, kO}},
+    {"DJI Spark", 0.0,
+     0x1.2cp+8, 0x1.24f38bf541a3bp+3, 0x1.e84093ee1810dp+4,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.24f38bf541a3bp+3, 0x1.24f38bf541a3bp+3},
+     {kU, kU, kO, kO}},
+    {"DJI Spark", 5.0,
+     0x1.31p+8, 0x1.1f23661cb27a8p+3, 0x1.de9054da7ecc3p+4,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.1f23661cb27a8p+3, 0x1.1f23661cb27a8p+3},
+     {kU, kU, kO, kO}},
+    {"DJI Spark", 20.0,
+     0x1.4p+8, 0x1.0d34a9de8a8eep+3, 0x1.c0ad1b1d9198dp+4,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.0d34a9de8a8eep+3, 0x1.0d34a9de8a8eep+3},
+     {kU, kU, kO, kO}},
+    {"DJI Spark", 60.0,
+     0x1.68p+8, 0x1.a8b4345003235p+2, 0x1.61eb80ed57f2cp+4,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.a8b4345003235p+2, 0x1.a8b4345003235p+2},
+     {kU, kU, kO, kO}},
+    {"Zhang et al. nano", 0.0,
+     0x1.9p+5, 0x1.154fd89da8fcbp+4, 0x1.ce2fbe5c19a53p+5,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.b999999999999p+3, 0x1.154fd89da8fcbp+4},
+     {kU, kU, kU, kO}},
+    {"Zhang et al. nano", 5.0,
+     0x1.b8p+5, 0x1.06ea20e24f1acp+4, 0x1.b630e1792e81fp+5,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.b999999999999p+3, 0x1.06ea20e24f1acp+4},
+     {kU, kU, kU, kO}},
+    {"Zhang et al. nano", 20.0,
+     0x1.18p+6, 0x1.c8438c2967097p+3, 0x1.7c384a228087ep+5,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.b999999999999p+3, 0x1.c8438c2967097p+3},
+     {kU, kU, kB, kO}},
+    {"Zhang et al. nano", 60.0,
+     0x1.b8p+6, 0x1.47d2c5dafac77p+3, 0x1.112fa4e12650ep+5,
+     {0x1.3333333333333p-2, 0x1.8p+1,
+      0x1.47d2c5dafac77p+3, 0x1.47d2c5dafac77p+3},
+     {kU, kU, kO, kO}},
+};
+
+} // namespace
+
+TEST(QuadrotorGolden, F1EnvelopeIsExact)
+{
+    std::size_t row = 0;
     for (const uav::UavSpec &spec : uav::allUavs()) {
         const uav::QuadrotorAirframe quad(spec);
         for (const double payload : {0.0, 5.0, 20.0, 60.0}) {
-            const uav::F1Model f1(spec, payload);
+            ASSERT_LT(row, std::size(kQuadGolden));
+            const QuadGolden &golden = kQuadGolden[row++];
+            ASSERT_EQ(spec.name, golden.vehicle);
+            ASSERT_EQ(payload, golden.payloadG);
             const double mass = quad.totalMassGrams(payload);
-            EXPECT_EQ(mass, f1.totalMassGrams());
-            EXPECT_EQ(quad.velocityCeilingMps(mass),
-                      f1.velocityCeilingMps());
-            EXPECT_EQ(quad.kneeThroughputHz(mass),
-                      f1.kneeThroughputHz());
-            for (const double hz : {1.0, 10.0, 46.0, 200.0}) {
-                EXPECT_EQ(quad.safeVelocityMps(hz, mass),
-                          f1.safeVelocityMps(hz));
+            EXPECT_EQ(mass, golden.massG);
+            EXPECT_EQ(quad.velocityCeilingMps(mass), golden.ceilingMps);
+            EXPECT_EQ(quad.kneeThroughputHz(mass), golden.kneeHz);
+            for (std::size_t i = 0; i < std::size(kGoldenHz); ++i) {
+                EXPECT_EQ(quad.safeVelocityMps(kGoldenHz[i], mass),
+                          golden.safeMps[i])
+                    << spec.name << " " << kGoldenHz[i] << " Hz";
+                EXPECT_EQ(quad.classify(kGoldenHz[i], mass),
+                          golden.classes[i])
+                    << spec.name << " " << kGoldenHz[i] << " Hz";
             }
             for (const double v : {0.0, 2.0, 8.0}) {
                 EXPECT_EQ(quad.propulsionPowerW(mass, v),
@@ -116,6 +208,7 @@ TEST(QuadrotorParity, MatchesF1ModelBitForBit)
             EXPECT_EQ(quad.turnRadiusM(mass, 8.0), 0.0);
         }
     }
+    EXPECT_EQ(row, std::size(kQuadGolden));
 }
 
 TEST(QuadrotorParity, GeneralizedMissionModelIsBitIdentical)

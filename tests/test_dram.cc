@@ -269,6 +269,17 @@ TEST(DramConfig, ParseDramTimingAcceptsBothArities)
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(dram::parseDramTiming("a:b:c", timing, error));
     EXPECT_FALSE(dram::parseDramTiming("", timing, error));
+
+    // Each field is plain digits and there are exactly 2 or 4
+    // separators: no trailing empty field, no whitespace, no sign.
+    for (const char *bad :
+         {"22:22:22:", "22:22:22:7800:350:", " 22:+22:22", "22::22:22",
+          ":22:22:22", "22:22:-1", "22: 22:22", "22:22:22 ",
+          "99999999999999999999:1:1"}) {
+        error.clear();
+        EXPECT_FALSE(dram::parseDramTiming(bad, timing, error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
 }
 
 TEST(DramConfig, InfeasibleReasonDiagnosesDegenerateParameters)

@@ -13,7 +13,7 @@
 #include "power/mass_model.h"
 #include "power/npu_power.h"
 #include "systolic/cycle_engine.h"
-#include "uav/f1_model.h"
+#include "uav/airframe.h"
 #include "uav/uav_spec.h"
 
 namespace nn = autopilot::nn;
@@ -22,16 +22,33 @@ namespace pw = autopilot::power;
 namespace uav = autopilot::uav;
 namespace core = autopilot::core;
 
+namespace
+{
+
+/** Quadrotor knee at a compute payload, Hz. */
+double
+kneeHz(const uav::UavSpec &spec, double payload_g)
+{
+    const uav::QuadrotorAirframe quad(spec);
+    return quad.kneeThroughputHz(quad.totalMassGrams(payload_g));
+}
+
+/** Quadrotor velocity ceiling at a compute payload, m/s. */
+double
+ceilingMps(const uav::UavSpec &spec, double payload_g)
+{
+    const uav::QuadrotorAirframe quad(spec);
+    return quad.velocityCeilingMps(quad.totalMassGrams(payload_g));
+}
+
+} // namespace
+
 TEST(Golden, KneePoints)
 {
     const pw::MassModel mass;
-    EXPECT_NEAR(uav::F1Model(uav::zhangNano(),
-                             mass.computePayloadGrams(0.7))
-                    .kneeThroughputHz(),
+    EXPECT_NEAR(kneeHz(uav::zhangNano(), mass.computePayloadGrams(0.7)),
                 46.0, 1.0);
-    EXPECT_NEAR(uav::F1Model(uav::djiSpark(),
-                             mass.computePayloadGrams(1.5))
-                    .kneeThroughputHz(),
+    EXPECT_NEAR(kneeHz(uav::djiSpark(), mass.computePayloadGrams(1.5)),
                 27.0, 1.0);
 }
 
@@ -68,12 +85,8 @@ TEST(Golden, CanonicalMediumDesign)
 
 TEST(Golden, VelocityCeilings)
 {
-    EXPECT_NEAR(uav::F1Model(uav::zhangNano(), 23.8)
-                    .velocityCeilingMps(),
-                13.8, 0.3);
-    EXPECT_NEAR(uav::F1Model(uav::djiSpark(), 28.2)
-                    .velocityCeilingMps(),
-                8.1, 0.3);
+    EXPECT_NEAR(ceilingMps(uav::zhangNano(), 23.8), 13.8, 0.3);
+    EXPECT_NEAR(ceilingMps(uav::djiSpark(), 28.2), 8.1, 0.3);
 }
 
 TEST(Golden, TaxonomyThisWorkRow)

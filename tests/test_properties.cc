@@ -11,6 +11,7 @@
 #include "power/mass_model.h"
 #include "power/npu_power.h"
 #include "systolic/engine.h"
+#include "uav/airframe.h"
 #include "uav/mission.h"
 #include "uav/propulsion.h"
 #include "uav/uav_spec.h"
@@ -87,8 +88,9 @@ TEST_P(MissionMonotonicity, FasterIsAlwaysMoreEfficientBelowCeiling)
     // The Eq. 4 premise: energy per meter falls with velocity across
     // the achievable range.
     const uav::UavSpec spec = vehicle();
-    const uav::F1Model f1(spec, 25.0);
-    const double ceiling = f1.velocityCeilingMps();
+    const uav::QuadrotorAirframe quad(spec);
+    const double ceiling =
+        quad.velocityCeilingMps(quad.totalMassGrams(25.0));
     double prev_epm = 1e18;
     for (double frac : {0.3, 0.5, 0.7, 0.9, 1.0}) {
         const double v = ceiling * frac;
@@ -179,8 +181,7 @@ TEST(EndToEndProperties, KneeSelectionBeatsRandomHardwareOnAverage)
         const double fps = rng.uniform(10.0, 200.0);
         const double watts = rng.uniform(0.2, 6.0);
         const double payload = 20.0 + watts * 5.4;
-        const int sensor = model.selectSensorFps(
-            uav::F1Model(nano, payload).kneeThroughputHz());
+        const int sensor = model.sensorFpsAtKnee(payload);
         const auto matched =
             model.evaluate(payload, watts, fps, sensor);
         const auto slow30 = model.evaluate(payload, watts, fps, 30.0);

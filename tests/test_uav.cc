@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "uav/f1_model.h"
+#include "uav/airframe.h"
 #include "uav/mission.h"
 #include "uav/propulsion.h"
 #include "uav/uav_spec.h"
@@ -138,77 +138,78 @@ TEST(Propulsion, HoverPowerPlausibleForSpark)
 }
 
 // ----------------------------------------------------------- F1 model ----
+// The F1Model suites name the paper's F-1 model; QuadrotorAirframe is its
+// one implementation.
 
 TEST(F1Model, PaperKneePoints)
 {
     // Section V-C: ~46 Hz for the nano-UAV, ~27 Hz for the DJI Spark at
     // AutoPilot-class compute payloads.
-    const uav::F1Model nano(uav::zhangNano(), 23.8);
-    const uav::F1Model spark(uav::djiSpark(), 28.2);
-    EXPECT_NEAR(nano.kneeThroughputHz(), 46.0, 2.0);
-    EXPECT_NEAR(spark.kneeThroughputHz(), 27.0, 2.0);
+    const uav::QuadrotorAirframe nano(uav::zhangNano());
+    const uav::QuadrotorAirframe spark(uav::djiSpark());
+    EXPECT_NEAR(nano.kneeThroughputHz(nano.totalMassGrams(23.8)), 46.0,
+                2.0);
+    EXPECT_NEAR(spark.kneeThroughputHz(spark.totalMassGrams(28.2)), 27.0,
+                2.0);
 }
 
 TEST(F1Model, RooflineShape)
 {
-    const uav::F1Model f1(uav::zhangNano(), 24.0);
-    const double ceiling = f1.velocityCeilingMps();
-    const double knee = f1.kneeThroughputHz();
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    const double mass = quad.totalMassGrams(24.0);
+    const double ceiling = quad.velocityCeilingMps(mass);
+    const double knee = quad.kneeThroughputHz(mass);
     // Linear region: velocity proportional to throughput.
-    EXPECT_NEAR(f1.safeVelocityMps(knee / 2.0), ceiling / 2.0, 1e-9);
+    EXPECT_NEAR(quad.safeVelocityMps(knee / 2.0, mass), ceiling / 2.0,
+                1e-9);
     // Flat region: more throughput buys nothing.
-    EXPECT_DOUBLE_EQ(f1.safeVelocityMps(knee * 2.0), ceiling);
-    EXPECT_DOUBLE_EQ(f1.safeVelocityMps(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(quad.safeVelocityMps(knee * 2.0, mass), ceiling);
+    EXPECT_DOUBLE_EQ(quad.safeVelocityMps(0.0, mass), 0.0);
 }
 
 TEST(F1Model, PayloadLowersCeiling)
 {
-    const uav::F1Model light(uav::zhangNano(), 24.0);
-    const uav::F1Model heavy(uav::zhangNano(), 65.0);
-    EXPECT_GT(light.velocityCeilingMps(), heavy.velocityCeilingMps());
-    EXPECT_GT(light.kneeThroughputHz(), heavy.kneeThroughputHz());
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    const double light = quad.totalMassGrams(24.0);
+    const double heavy = quad.totalMassGrams(65.0);
+    EXPECT_GT(quad.velocityCeilingMps(light),
+              quad.velocityCeilingMps(heavy));
+    EXPECT_GT(quad.kneeThroughputHz(light), quad.kneeThroughputHz(heavy));
 }
 
 TEST(F1Model, ImpossiblePayloadZeroesCeiling)
 {
-    const uav::F1Model overloaded(uav::zhangNano(), 500.0);
-    EXPECT_DOUBLE_EQ(overloaded.velocityCeilingMps(), 0.0);
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    EXPECT_DOUBLE_EQ(
+        quad.velocityCeilingMps(quad.totalMassGrams(500.0)), 0.0);
 }
 
 TEST(F1Model, ActionThroughputIsPipelineMinimum)
 {
-    const uav::F1Model f1(uav::zhangNano(), 24.0);
-    EXPECT_DOUBLE_EQ(f1.actionThroughputHz(100.0, 30.0), 30.0);
-    EXPECT_DOUBLE_EQ(f1.actionThroughputHz(20.0, 60.0), 20.0);
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    EXPECT_DOUBLE_EQ(quad.actionThroughputHz(100.0, 30.0), 30.0);
+    EXPECT_DOUBLE_EQ(quad.actionThroughputHz(20.0, 60.0), 20.0);
 }
 
 TEST(F1Model, ClassifyAgainstKnee)
 {
-    const uav::F1Model f1(uav::zhangNano(), 24.0);
-    const double knee = f1.kneeThroughputHz();
-    EXPECT_EQ(f1.classify(knee * 0.5),
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    const double mass = quad.totalMassGrams(24.0);
+    const double knee = quad.kneeThroughputHz(mass);
+    EXPECT_EQ(quad.classify(knee * 0.5, mass),
               uav::Provisioning::UnderProvisioned);
-    EXPECT_EQ(f1.classify(knee), uav::Provisioning::Balanced);
-    EXPECT_EQ(f1.classify(knee * 2.0),
+    EXPECT_EQ(quad.classify(knee, mass), uav::Provisioning::Balanced);
+    EXPECT_EQ(quad.classify(knee * 2.0, mass),
               uav::Provisioning::OverProvisioned);
-}
-
-TEST(F1Model, CurveSamplingMonotone)
-{
-    const uav::F1Model f1(uav::djiSpark(), 30.0);
-    const auto curve = f1.curve(100.0, 21);
-    ASSERT_EQ(curve.size(), 21u);
-    for (std::size_t i = 1; i < curve.size(); ++i)
-        EXPECT_GE(curve[i].safeVelocityMps,
-                  curve[i - 1].safeVelocityMps);
 }
 
 TEST(F1Model, StructuralLimitCaps)
 {
     uav::UavSpec nano = uav::zhangNano();
     nano.structuralMaxMps = 5.0;
-    const uav::F1Model f1(nano, 24.0);
-    EXPECT_DOUBLE_EQ(f1.velocityCeilingMps(), 5.0);
+    const uav::QuadrotorAirframe quad(nano);
+    EXPECT_DOUBLE_EQ(quad.velocityCeilingMps(quad.totalMassGrams(24.0)),
+                     5.0);
 }
 
 // ------------------------------------------------------------ mission ----
@@ -274,19 +275,19 @@ TEST(Mission, SensorSelectionAvoidsSensorBound)
     EXPECT_EQ(model.selectSensorFps(500.0), 60);
 }
 
-TEST(F1ModelDeath, RejectsNegativePayload)
+TEST(Mission, SensorAtKneeMatchesSectionVC)
 {
-    EXPECT_EXIT(uav::F1Model(uav::zhangNano(), -1.0),
-                ::testing::ExitedWithCode(1), "negative");
+    // The nano-UAV with the 23.8 g AutoPilot payload has its knee near
+    // 46 Hz, so the knee rule carries the 60 FPS sensor.
+    const uav::MissionModel model(uav::zhangNano());
+    EXPECT_EQ(model.sensorFpsAtKnee(23.8), 60);
 }
 
-TEST(F1ModelDeath, CurveRejectsBadArguments)
+TEST(F1ModelDeath, RejectsNegativePayload)
 {
-    const uav::F1Model f1(uav::zhangNano(), 24.0);
-    EXPECT_EXIT(f1.curve(0.0, 10), ::testing::ExitedWithCode(1),
-                "curve");
-    EXPECT_EXIT(f1.curve(100.0, 1), ::testing::ExitedWithCode(1),
-                "curve");
+    const uav::QuadrotorAirframe quad(uav::zhangNano());
+    EXPECT_EXIT(quad.totalMassGrams(-1.0), ::testing::ExitedWithCode(1),
+                "negative");
 }
 
 TEST(PropulsionDeath, TotalMassBelowBaseRejected)
