@@ -133,19 +133,20 @@ BM_GpFitPredict(benchmark::State &state)
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     util::Rng rng(5);
     std::vector<std::vector<double>> inputs;
-    std::vector<double> targets;
+    std::vector<std::vector<double>> targets(3); // One per objective.
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<double> x(7);
         for (double &v : x)
             v = rng.uniform();
         inputs.push_back(x);
-        targets.push_back(rng.normal());
+        for (std::vector<double> &column : targets)
+            column.push_back(rng.normal());
     }
     const std::vector<double> query(7, 0.5);
     for (auto _ : state) {
         dse::GaussianProcess gp;
         gp.fit(inputs, targets);
-        benchmark::DoNotOptimize(gp.predict(query).mean);
+        benchmark::DoNotOptimize(gp.predict(query).front().mean);
     }
     state.SetComplexityN(state.range(0));
 }
@@ -164,6 +165,34 @@ BM_Hypervolume3D(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Hypervolume3D)->Arg(16)->Arg(64)->Arg(256);
+
+void
+BM_HypervolumeContribution(benchmark::State &state)
+{
+    // One candidate against a fixed non-dominated front, sweep built
+    // outside the loop: the per-candidate cost of the SMS-EGO screen.
+    util::Rng rng(9);
+    std::vector<dse::Objectives> front;
+    while (front.size() < static_cast<std::size_t>(state.range(0))) {
+        // Points on the simplex x + y + z = 1 are mutually
+        // non-dominated.
+        const double a = rng.uniform();
+        const double b = rng.uniform() * (1.0 - a);
+        front.push_back({a, b, 1.0 - a - b});
+    }
+    const dse::Objectives reference = {1.0, 1.0, 1.0};
+    const dse::HypervolumeContribution gain(front, reference);
+    // Just inside the front's centroid, so the candidate splits a middle
+    // slab and re-sweeps the slabs above it.
+    dse::Objectives candidate(3, 0.0);
+    for (const dse::Objectives &point : front)
+        for (std::size_t d = 0; d < 3; ++d)
+            candidate[d] += 0.9 * point[d] / front.size();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gain(candidate));
+    }
+}
+BENCHMARK(BM_HypervolumeContribution)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_RolloutEpisode(benchmark::State &state)

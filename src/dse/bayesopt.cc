@@ -13,6 +13,15 @@
 namespace autopilot::dse
 {
 
+namespace
+{
+
+/// Candidates per screening task. Their GP predictions share one
+/// interleaved k* / forward-solve pass (bit-identical per candidate).
+constexpr std::size_t screenBlock = 8;
+
+} // namespace
+
 BayesOpt::BayesOpt() : BayesOpt(Settings())
 {
 }
@@ -65,7 +74,8 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
         if (telemetry.enabled())
             telemetry.metrics().counter("bo.iterations").add();
 
-        // Fit one GP per objective on the full archive.
+        // Fit the per-objective GPs on the full archive: one shared
+        // factor, one alpha per objective.
         std::vector<std::vector<double>> inputs;
         inputs.reserve(result.archive.size());
         for (const Evaluation &evaluation : result.archive)
@@ -73,23 +83,20 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
 
         const std::size_t num_objectives =
             result.archive.front().objectives.size();
-        std::vector<GaussianProcess> models;
-        models.reserve(num_objectives);
+        GaussianProcess model(cfg.gp);
         {
             util::TraceSpan fit_span("bo.fit_gp", "optimizer");
             util::ScopedTimer fit_timer(
                 telemetry.enabled()
                     ? &telemetry.metrics().histogram("bo.fit_gp_s")
                     : nullptr);
+            std::vector<std::vector<double>> targets(num_objectives);
             for (std::size_t d = 0; d < num_objectives; ++d) {
-                std::vector<double> targets;
-                targets.reserve(result.archive.size());
+                targets[d].reserve(result.archive.size());
                 for (const Evaluation &evaluation : result.archive)
-                    targets.push_back(evaluation.objectives[d]);
-                GaussianProcess gp(cfg.gp);
-                gp.fit(inputs, targets);
-                models.push_back(std::move(gp));
+                    targets[d].push_back(evaluation.objectives[d]);
             }
+            model.fit(inputs, targets);
         }
 
         // Current front and reference for the S-metric.
@@ -118,10 +125,10 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
             break; // Space exhausted around the archive.
 
         // Score the pool with the SMS-EGO acquisition, screening the
-        // candidates in parallel on the evaluator's pool. Each score is
-        // a pure function of one candidate, so the ranking (and thus
-        // the whole search trajectory) is identical across thread
-        // counts.
+        // candidates in parallel on the evaluator's pool. The front's
+        // sweep is built once; each score is then a pure function of one
+        // candidate, so the ranking (and thus the whole search
+        // trajectory) is identical across thread counts.
         std::vector<double> scores(pool.size());
         const std::int64_t screen_start =
             telemetry.enabled() ? telemetry.trace().nowUs() : 0;
@@ -129,20 +136,29 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
             telemetry.enabled()
                 ? &telemetry.metrics().histogram("bo.screen_s")
                 : nullptr);
-        util::parallel_for(
-            evaluator.threadPool(), pool.size(), [&](std::size_t c) {
-                const std::vector<double> features =
-                    space.features(pool[c]);
+        const HypervolumeContribution gain(front, reference);
+        const std::size_t blocks =
+            (pool.size() + screenBlock - 1) / screenBlock;
+        util::parallel_for(evaluator.threadPool(), blocks, [&](std::size_t b) {
+            const std::size_t first = b * screenBlock;
+            const std::size_t last =
+                std::min(pool.size(), first + screenBlock);
+            std::vector<std::vector<double>> features;
+            features.reserve(last - first);
+            for (std::size_t c = first; c < last; ++c)
+                features.push_back(space.features(pool[c]));
+            const std::vector<GpPrediction> predictions =
+                model.predict(features);
+            for (std::size_t c = first; c < last; ++c) {
+                const GpPrediction *objective =
+                    &predictions[(c - first) * num_objectives];
                 Objectives lcb(num_objectives, 0.0);
                 for (std::size_t d = 0; d < num_objectives; ++d) {
-                    const GpPrediction prediction =
-                        models[d].predict(features);
-                    lcb[d] = prediction.mean -
-                             cfg.confidenceGain * prediction.stddev();
+                    lcb[d] = objective[d].mean -
+                             cfg.confidenceGain * objective[d].stddev();
                 }
 
-                double score =
-                    hypervolumeContribution(front, lcb, reference);
+                double score = gain(lcb);
                 if (score <= 0.0) {
                     // Epsilon-dominated candidate: penalty grows with
                     // how far inside the dominated region the LCB point
@@ -159,8 +175,8 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
                     score = -worst_excess;
                 }
                 scores[c] = score;
-            },
-            /*grain=*/4);
+            }
+        });
         screen_timer.stop();
         if (telemetry.enabled()) {
             telemetry.trace().record(

@@ -599,7 +599,8 @@ TieredBackend::absorb(const Objectives &screenedObjectives)
 }
 
 bool
-TieredBackend::shouldPromote(const Objectives &screenedObjectives) const
+TieredBackend::shouldPromote(const HypervolumeContribution &frontGain,
+                             const Objectives &screenedObjectives) const
 {
     // Band semantics: improve the candidate componentwise by the band
     // fraction; promote when that relaxed point still contributes
@@ -611,8 +612,7 @@ TieredBackend::shouldPromote(const Objectives &screenedObjectives) const
     Objectives relaxed = screenedObjectives;
     for (double &component : relaxed)
         component *= 1.0 - band_;
-    return hypervolumeContribution(analyticalFront, relaxed,
-                                   tierPolicy.referencePoint) > 0.0;
+    return frontGain(relaxed) > 0.0;
 }
 
 void
@@ -666,8 +666,10 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
         std::lock_guard<std::mutex> lock(stateMutex);
         for (const Evaluation &screenedEval : screenedEvals)
             absorb(screenedEval.objectives);
+        const HypervolumeContribution frontGain(
+            analyticalFront, tierPolicy.referencePoint);
         for (std::size_t i = 0; i < points.size(); ++i) {
-            if (shouldPromote(screenedEvals[i].objectives))
+            if (shouldPromote(frontGain, screenedEvals[i].objectives))
                 promotedIndices.push_back(i);
         }
         screened_ += points.size();

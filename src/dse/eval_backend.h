@@ -76,6 +76,8 @@
 namespace autopilot::dse
 {
 
+class HypervolumeContribution;
+
 /** Everything a backend needs besides the design point itself. */
 struct BackendContext
 {
@@ -487,8 +489,10 @@ class TieredBackend : public EvalBackend
     void absorb(const Objectives &screened);
 
     /// Band-relaxed hypervolume-contribution test against the running
-    /// front. Caller holds stateMutex.
-    bool shouldPromote(const Objectives &screened) const;
+    /// front, whose sweep @p frontGain is built once per batch. Caller
+    /// holds stateMutex.
+    bool shouldPromote(const HypervolumeContribution &frontGain,
+                       const Objectives &screened) const;
 
     /// Fold one promoted point's analytical-vs-cycle relative latency
     /// error and re-derive the adaptive band. Caller holds stateMutex.

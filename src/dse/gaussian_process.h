@@ -2,20 +2,29 @@
  * @file
  * Gaussian-process regression with a squared-exponential kernel.
  *
- * This is the Bayesian statistical model of Section III-B: one GP is fit
- * per objective function; its posterior mean/variance feed the SMS-EGO
+ * This is the Bayesian statistical model of Section III-B: one GP per
+ * objective function; their posterior means/variances feed the SMS-EGO
  * acquisition. The SE kernel is used "due to its simplicity, leading to
  * fast computation" [65], exactly as in the paper.
  *
- * Targets are standardized internally (zero mean, unit variance) so one
- * set of kernel hyperparameters works across objectives with very
- * different scales (success fraction vs. watts vs. milliseconds).
+ * The objectives share their inputs and kernel hyperparameters, so their
+ * GPs share the Gram matrix, its Cholesky factor, every query's k* and
+ * forward solve, and therefore the posterior variance before scaling. One
+ * GaussianProcess fits all of them: one factor, one alpha per objective.
+ * Each output's prediction is bit-identical to a single-output fit of
+ * that objective alone (the single-output GP is the one-column case).
+ *
+ * Targets are standardized internally per output (zero mean, unit
+ * variance) so one set of kernel hyperparameters works across objectives
+ * with very different scales (success fraction vs. watts vs.
+ * milliseconds).
  */
 
 #ifndef AUTOPILOT_DSE_GAUSSIAN_PROCESS_H
 #define AUTOPILOT_DSE_GAUSSIAN_PROCESS_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/matrix.h"
@@ -33,7 +42,7 @@ struct GpPrediction
     double stddev() const;
 };
 
-/** Squared-exponential-kernel GP regressor. */
+/** Squared-exponential-kernel GP regressor over one or more outputs. */
 class GaussianProcess
 {
   public:
@@ -51,29 +60,47 @@ class GaussianProcess
     explicit GaussianProcess(const Params &params);
 
     /**
-     * Fit to training data.
+     * Fit every output to training data over one shared factor.
      *
      * @param inputs  Feature vectors (all the same dimension, non-empty).
-     * @param targets One target per input.
+     * @param targets One column per output, each holding one target per
+     *                input (non-empty).
      */
     void fit(const std::vector<std::vector<double>> &inputs,
-             const std::vector<double> &targets);
+             const std::vector<std::vector<double>> &targets);
 
     /** True after a successful fit(). */
     bool fitted() const { return factor != nullptr; }
 
-    /** Posterior mean and variance at a query point. */
-    GpPrediction predict(const std::vector<double> &query) const;
+    /**
+     * Posterior mean and variance of every output at each query point:
+     * element q * outputs + o, where outputs is the number of target
+     * columns fit. Per query, k*, the forward solve and the variance
+     * reduction are computed once and each output adds one dot product;
+     * the queries' forward solves run interleaved. Every element is
+     * bit-identical to predicting its query alone.
+     */
+    std::vector<GpPrediction>
+    predict(std::span<const std::vector<double>> queries) const;
+
+    /** Posterior of every output at one query (element o: output o). */
+    std::vector<GpPrediction> predict(const std::vector<double> &query) const;
 
     const Params &params() const { return kernelParams; }
 
   private:
+    /** Per-output state: the only part that differs between outputs. */
+    struct Output
+    {
+        std::vector<double> alpha; ///< K^{-1} (y - mean), standardized.
+        double targetMean = 0.0;
+        double targetStd = 1.0;
+    };
+
     Params kernelParams;
     std::vector<std::vector<double>> trainInputs;
-    std::vector<double> alpha; ///< K^{-1} (y - mean), standardized.
     std::unique_ptr<util::CholeskyFactor> factor;
-    double targetMean = 0.0;
-    double targetStd = 1.0;
+    std::vector<Output> outputModels;
 
     double kernel(const std::vector<double> &a,
                   const std::vector<double> &b) const;

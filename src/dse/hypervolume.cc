@@ -44,6 +44,31 @@ hv1(const std::vector<Objectives> &points, const Objectives &reference)
     return reference[0] - best;
 }
 
+/** (x, y) order of hv2's sweep: first objective, then second. */
+bool
+sweepBefore(double ax, double ay, double bx, double by)
+{
+    if (ax != bx)
+        return ax < bx;
+    return ay < by;
+}
+
+/**
+ * One step of hv2's sweep, same operations: add the strip of point
+ * (x, y) if it lies below every point swept so far. False when the point
+ * is dominated.
+ */
+bool
+sweepStep(double ref_x, double x, double y, double &prev_y,
+          double &volume)
+{
+    if (!(y < prev_y))
+        return false;
+    volume += (ref_x - x) * (prev_y - y);
+    prev_y = y;
+    return true;
+}
+
 /** 2-D sweep: sort by first objective ascending, accumulate strips. */
 double
 hv2(std::vector<Objectives> points, const Objectives &reference)
@@ -111,16 +136,134 @@ hypervolume(const std::vector<Objectives> &points,
     }
 }
 
+HypervolumeContribution::HypervolumeContribution(
+    const std::vector<Objectives> &front, const Objectives &reference)
+    : ref(reference)
+{
+    panicIf(reference.empty(), "hypervolume: empty reference");
+    clipped = clipToReference(front, reference);
+    if (reference.size() != 3) {
+        base = hypervolume(clipped, reference);
+        return;
+    }
+
+    // The slabs of hv3 over the clipped front: one per distinct depth
+    // (zero-width slabs add nothing), each with the (x, y) points active
+    // at that depth kept in sweep order.
+    std::sort(clipped.begin(), clipped.end(),
+              [](const Objectives &a, const Objectives &b) {
+                  return a[2] < b[2];
+              });
+    std::vector<std::array<double, 2>> active;
+    active.reserve(clipped.size());
+    for (std::size_t i = 0; i < clipped.size(); ++i) {
+        const std::array<double, 2> xy = {clipped[i][0], clipped[i][1]};
+        active.insert(std::upper_bound(active.begin(), active.end(), xy,
+                                       [](const auto &a, const auto &b) {
+                                           return sweepBefore(a[0], a[1],
+                                                              b[0], b[1]);
+                                       }),
+                      xy);
+        const double z_lo = clipped[i][2];
+        const double z_hi =
+            (i + 1 < clipped.size()) ? clipped[i + 1][2] : reference[2];
+        if (!(z_hi > z_lo))
+            continue;
+        Slab slab{z_lo, z_hi - z_lo, 0.0, base, activeXY.size(), 0};
+        activeXY.insert(activeXY.end(), active.begin(), active.end());
+        slab.end = activeXY.size();
+        double prev_y = reference[1];
+        for (const auto &[x, y] : active)
+            sweepStep(reference[0], x, y, prev_y, slab.area);
+        base += slab.area * slab.width;
+        slabs.push_back(slab);
+    }
+}
+
+double
+HypervolumeContribution::areaWith(const Slab &slab, double x, double y,
+                                  bool &grew) const
+{
+    double area = 0.0;
+    double prev_y = ref[1];
+    grew = false;
+    bool pending = true;
+    for (std::size_t i = slab.begin; i < slab.end; ++i) {
+        const auto &[px, py] = activeXY[i];
+        if (pending && sweepBefore(x, y, px, py)) {
+            grew = sweepStep(ref[0], x, y, prev_y, area);
+            pending = false;
+        }
+        sweepStep(ref[0], px, py, prev_y, area);
+    }
+    if (pending)
+        grew = sweepStep(ref[0], x, y, prev_y, area);
+    return area;
+}
+
+double
+HypervolumeContribution::operator()(const Objectives &candidate) const
+{
+    panicIf(candidate.size() != ref.size(),
+            "hypervolume: dimension mismatch");
+    if (ref.size() != 3) {
+        std::vector<Objectives> extended = clipped;
+        extended.push_back(candidate);
+        return std::max(0.0, hypervolume(extended, ref) - base);
+    }
+    for (std::size_t d = 0; d < 3; ++d) {
+        if (candidate[d] >= ref[d])
+            return 0.0; // Clipped out: the grown set is the front.
+    }
+
+    // Replay hv3 over front + candidate. Slabs below the candidate's
+    // depth are unchanged, so their running volume is reused.
+    const double x = candidate[0];
+    const double y = candidate[1];
+    const double z = candidate[2];
+    std::size_t k = static_cast<std::size_t>(
+        std::lower_bound(slabs.begin(), slabs.end(), z,
+                         [](const Slab &slab, double depth) {
+                             return slab.z < depth;
+                         }) -
+        slabs.begin());
+    bool grew = true;
+    double grown = 0.0;
+    if (k < slabs.size() && slabs[k].z == z) {
+        grown = slabs[k].volumeBelow;
+    } else {
+        // The candidate opens a new level: the slab below it is cut at
+        // z, and the new slab holds that slab's points plus the
+        // candidate up to the next level.
+        double area = 0.0;
+        if (k > 0) {
+            const Slab &below = slabs[k - 1];
+            grown = below.volumeBelow + below.area * (z - below.z);
+            area = areaWith(below, x, y, grew);
+        } else {
+            double prev_y = ref[1];
+            sweepStep(ref[0], x, y, prev_y, area);
+        }
+        const double z_hi = k < slabs.size() ? slabs[k].z : ref[2];
+        grown += area * (z_hi - z);
+    }
+    for (; k < slabs.size(); ++k) {
+        // Once the candidate is dominated in a slab's cross-section it
+        // stays dominated above (the active set only grows), and the
+        // sweep with it is the stored one.
+        const double area =
+            grew ? areaWith(slabs[k], x, y, grew) : slabs[k].area;
+        grown += area * slabs[k].width;
+    }
+    return std::max(0.0, grown - base);
+}
+
 double
 hypervolumeContribution(const std::vector<Objectives> &points,
                         const Objectives &candidate,
                         const Objectives &reference)
 {
-    const double base = hypervolume(points, reference);
-    std::vector<Objectives> extended = points;
-    extended.push_back(candidate);
-    const double grown = hypervolume(extended, reference);
-    return std::max(0.0, grown - base);
+    return HypervolumeContribution(points, reference)(candidate);
 }
 
 Objectives

@@ -99,6 +99,16 @@ class CholeskyFactor
     /** Solve L y = b (forward substitution only). */
     std::vector<double> solveLower(const std::vector<double> &b) const;
 
+    /**
+     * Solve L Y = B in place for @p columns right-hand sides at once, B
+     * stored row-major (b[i * columns + j]). Column j undergoes exactly
+     * the operations of solveLower() on that column alone, so results
+     * are bit-identical; interleaving the columns only lets independent
+     * substitutions overlap.
+     */
+    void solveLowerColumns(std::vector<double> &b,
+                           std::size_t columns) const;
+
     /** log(det(A)) = 2 * sum(log(L_ii)), useful for GP likelihoods. */
     double logDeterminant() const;
 

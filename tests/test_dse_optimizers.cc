@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <set>
 
@@ -16,6 +19,7 @@
 #include "dse/genetic.h"
 #include "dse/optimizer.h"
 #include "dse/random_search.h"
+#include "util/thread_pool.h"
 
 namespace dse = autopilot::dse;
 namespace al = autopilot::airlearning;
@@ -220,4 +224,103 @@ TEST(Optimizers, NamesAreStable)
     EXPECT_EQ(dse::RandomSearch().name(), "random");
     EXPECT_EQ(dse::GeneticAlgorithm().name(), "nsga2");
     EXPECT_EQ(dse::SimulatedAnnealing().name(), "sa");
+}
+
+// ------------------------------------------------ BO trajectory pin ----
+
+namespace
+{
+
+/** One archive entry of the pinned BO run. */
+struct TrajectoryStep
+{
+    dse::Encoding encoding;
+    double hypervolume; ///< hypervolumeHistory after this evaluation.
+};
+
+// BayesOpt with candidatePool 64, budget 40, seed 7 on the shared dense
+// database; hypervolumes printed with %a. The first 16 rows are the
+// random initial design, the rest are SMS-EGO suggestions, so any change
+// to the GP or to the hypervolume-gain screen that moves a single bit of
+// a score shows up here. Such a change must be justified on its own.
+const TrajectoryStep kBoTrajectory[] = {
+    {{3, 2, 6, 0, 0, 1, 4, 0}, 0x1.d2f91d2e06ab6p+8},
+    {{7, 1, 3, 7, 0, 1, 7, 0}, 0x1.d2f91d2e06ab6p+8},
+    {{3, 2, 7, 6, 3, 5, 1, 0}, 0x1.d2f91d2e06ab6p+8},
+    {{4, 0, 2, 2, 0, 3, 7, 0}, 0x1.f57a96dd0fa2ep+9},
+    {{0, 1, 4, 2, 0, 7, 6, 0}, 0x1.fe18c860bd088p+9},
+    {{4, 0, 3, 6, 2, 4, 2, 0}, 0x1.ffdcbace284f2p+9},
+    {{2, 2, 3, 3, 2, 5, 5, 0}, 0x1.004d38388a6a3p+10},
+    {{3, 2, 2, 1, 6, 3, 1, 0}, 0x1.05d7145522c46p+10},
+    {{3, 2, 6, 1, 4, 4, 6, 0}, 0x1.05d7145522c46p+10},
+    {{4, 0, 3, 0, 3, 0, 5, 0}, 0x1.0a97c3ed3b3a4p+10},
+    {{1, 1, 4, 3, 0, 5, 1, 0}, 0x1.0af83cf8b4e3p+10},
+    {{4, 0, 2, 5, 7, 5, 0, 0}, 0x1.1119c5f4bbee7p+10},
+    {{5, 2, 5, 4, 0, 1, 1, 0}, 0x1.1119c5f4bbee7p+10},
+    {{5, 0, 0, 5, 6, 0, 4, 0}, 0x1.1f05d934d3d36p+10},
+    {{2, 2, 5, 0, 2, 0, 2, 0}, 0x1.1f05d934d3d36p+10},
+    {{4, 1, 1, 2, 5, 1, 3, 0}, 0x1.1f2eb8a86f3a4p+10},
+    {{5, 0, 1, 3, 3, 1, 5, 0}, 0x1.20bfd531c0d0dp+10},
+    {{5, 1, 0, 5, 6, 0, 4, 0}, 0x1.20bfd531c0d0dp+10},
+    {{3, 0, 1, 6, 7, 2, 4, 0}, 0x1.20deeaeab908ep+10},
+    {{7, 0, 0, 3, 4, 1, 4, 0}, 0x1.2144ceb53b7a1p+10},
+    {{7, 0, 1, 5, 2, 0, 3, 0}, 0x1.21a301414062ap+10},
+    {{4, 0, 2, 7, 5, 0, 3, 0}, 0x1.21a301414062ap+10},
+    {{7, 0, 1, 1, 1, 3, 7, 0}, 0x1.21a301414062ap+10},
+    {{7, 0, 2, 5, 2, 0, 6, 0}, 0x1.21ac12d4192p+10},
+    {{5, 1, 1, 3, 3, 1, 5, 0}, 0x1.21ac12d4192p+10},
+    {{4, 0, 3, 4, 6, 1, 5, 0}, 0x1.234b9740964e2p+10},
+    {{4, 0, 2, 4, 6, 3, 0, 0}, 0x1.23bc21b42408ep+10},
+    {{7, 0, 0, 4, 4, 0, 6, 0}, 0x1.23bc21b42408ep+10},
+    {{4, 0, 3, 4, 6, 1, 2, 0}, 0x1.23bef95acae97p+10},
+    {{5, 0, 3, 4, 4, 2, 5, 0}, 0x1.248db813e5a34p+10},
+    {{6, 0, 4, 2, 4, 2, 1, 0}, 0x1.249fd44235292p+10},
+    {{4, 0, 1, 2, 5, 1, 3, 0}, 0x1.24f937f6bc30ap+10},
+    {{5, 0, 5, 4, 7, 3, 2, 0}, 0x1.24f937f6bc30ap+10},
+    {{7, 0, 2, 3, 2, 2, 1, 0}, 0x1.2558a87b921ccp+10},
+    {{8, 0, 3, 3, 4, 3, 0, 0}, 0x1.2562399facd82p+10},
+    {{8, 0, 2, 5, 5, 2, 2, 0}, 0x1.25628b31f54d1p+10},
+    {{6, 0, 3, 4, 3, 2, 0, 0}, 0x1.2562a65056e43p+10},
+    {{5, 0, 1, 4, 6, 4, 2, 0}, 0x1.257fb94ca1665p+10},
+    {{6, 0, 3, 6, 6, 1, 6, 0}, 0x1.257fb94ca1665p+10},
+    {{6, 0, 2, 0, 3, 4, 4, 0}, 0x1.27487f6a6f64dp+10},
+};
+
+constexpr double kBoFinalHypervolume = 0x1.27487f6a6f64dp+10;
+
+} // namespace
+
+TEST(BayesOptTrajectory, PinnedAtOneAndFourThreads)
+{
+    dse::BayesOpt::Settings settings;
+    settings.candidatePool = 64;
+    const dse::OptimizerConfig config = smallBudget(40, 7);
+    for (std::size_t threads : {1u, 4u}) {
+        std::unique_ptr<autopilot::util::ThreadPool> pool;
+        dse::DseEvaluator evaluator(sharedDatabase(),
+                                    al::ObstacleDensity::Dense);
+        if (threads > 1) {
+            pool = std::make_unique<autopilot::util::ThreadPool>(threads);
+            evaluator.setThreadPool(pool.get());
+        }
+        const dse::OptimizerResult result =
+            dse::BayesOpt(settings).optimize(evaluator, config);
+
+        constexpr std::size_t steps = std::size(kBoTrajectory);
+        ASSERT_EQ(result.archive.size(), steps) << threads << " threads";
+        ASSERT_EQ(result.hypervolumeHistory.size(), steps);
+        for (std::size_t i = 0; i < steps; ++i) {
+            EXPECT_EQ(result.archive[i].encoding, kBoTrajectory[i].encoding)
+                << threads << " threads, archive position " << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          result.hypervolumeHistory[i]),
+                      std::bit_cast<std::uint64_t>(
+                          kBoTrajectory[i].hypervolume))
+                << threads << " threads, history position " << i;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      result.finalHypervolume(config.referencePoint)),
+                  std::bit_cast<std::uint64_t>(kBoFinalHypervolume))
+            << threads << " threads";
+    }
 }

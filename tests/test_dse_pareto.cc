@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "dse/hypervolume.h"
@@ -166,6 +169,132 @@ TEST(Hypervolume, ContributionOfDominatedIsZero)
     EXPECT_GT(dse::hypervolumeContribution(front, {0.5, 2.0, 2.0},
                                            {3.0, 3.0, 3.0}),
               0.0);
+}
+
+namespace
+{
+
+/** The from-scratch oracle the incremental contribution must replay. */
+double
+scratchContribution(const std::vector<Objectives> &front,
+                    const Objectives &candidate,
+                    const Objectives &reference)
+{
+    std::vector<Objectives> extended = front;
+    extended.push_back(candidate);
+    return std::max(0.0, dse::hypervolume(extended, reference) -
+                             dse::hypervolume(front, reference));
+}
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+/**
+ * One coordinate against a unit reference. Coarse draws come from a grid
+ * - step 0.25 (exact sums) or 0.1 (rounded sums, so the order of the
+ * sweep's operations shows in the bits) - so ties in every objective are
+ * common and some coordinates sit exactly on (1.0) or beyond the
+ * reference.
+ */
+double
+drawCoordinate(autopilot::util::Rng &rng, bool coarse, double step)
+{
+    if (coarse) {
+        const int cells = static_cast<int>(std::lround(1.25 / step));
+        return step * rng.uniformInt(0, cells);
+    }
+    return rng.uniform(0.0, 1.1);
+}
+
+} // namespace
+
+TEST(HypervolumeContribution, MatchesScratchOracleBitForBit)
+{
+    // Property: for any front and candidate, the incremental sweep
+    // returns exactly max(0, hv(front + c) - hv(front)) - same bits, not
+    // merely close. Fronts are raw point sets or their Pareto front,
+    // drawn fine or on a coarse tie-heavy grid, with duplicates;
+    // candidates include front members, grid points, points on the
+    // reference boundary and points outside the box.
+    autopilot::util::Rng rng(2024);
+    std::size_t checks = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t dims = trial % 6 == 0 ? 1 : trial % 6 == 1 ? 2 : 3;
+        const bool coarse = rng.uniform() < 0.5;
+        const double step = rng.uniform() < 0.5 ? 0.25 : 0.1;
+        const Objectives reference(dims, 1.0);
+        std::vector<Objectives> front;
+        const int size = rng.uniformInt(0, 30);
+        for (int i = 0; i < size; ++i) {
+            Objectives point(dims);
+            for (double &component : point)
+                component = drawCoordinate(rng, coarse, step);
+            front.push_back(point);
+            if (rng.uniform() < 0.1)
+                front.push_back(point); // Duplicate.
+        }
+        if (rng.uniform() < 0.5)
+            front = dse::paretoFront(front);
+
+        const dse::HypervolumeContribution gain(front, reference);
+        for (int c = 0; c < 16; ++c) {
+            Objectives candidate(dims);
+            const double kind = rng.uniform();
+            if (kind < 0.2 && !front.empty()) {
+                candidate = front[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<int>(front.size()) - 1))];
+            } else {
+                for (double &component : candidate)
+                    component =
+                        drawCoordinate(rng, kind < 0.6 || coarse, step);
+            }
+            if (rng.uniform() < 0.1) // On the reference boundary.
+                candidate[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(dims) - 1))] = 1.0;
+            const double expected =
+                scratchContribution(front, candidate, reference);
+            ASSERT_EQ(bits(gain(candidate)), bits(expected))
+                << "trial " << trial << " candidate " << c << " expected "
+                << expected << " got " << gain(candidate);
+            ++checks;
+        }
+    }
+    EXPECT_EQ(checks, 3000u * 16u);
+}
+
+TEST(HypervolumeContribution, EmptyFrontAndClippedCandidates)
+{
+    const Objectives reference = {3.0, 3.0, 3.0};
+    const dse::HypervolumeContribution empty({}, reference);
+    EXPECT_DOUBLE_EQ(empty({1.0, 2.0, 0.0}), 2.0 * 1.0 * 3.0);
+    EXPECT_EQ(empty({3.0, 0.0, 0.0}), 0.0); // On the boundary.
+    EXPECT_EQ(empty({0.0, 4.0, 0.0}), 0.0); // Outside.
+
+    // A front entirely outside the box contributes nothing itself.
+    const dse::HypervolumeContribution outside({{4.0, 0.0, 0.0}},
+                                               reference);
+    EXPECT_DOUBLE_EQ(outside({2.0, 2.0, 2.0}), 1.0);
+}
+
+TEST(HypervolumeContribution, WrapperMatchesObject)
+{
+    const std::vector<Objectives> front = {
+        {0.0, 2.0, 2.0}, {2.0, 0.0, 2.0}, {2.0, 2.0, 0.0}};
+    const Objectives reference = {3.0, 3.0, 3.0};
+    const dse::HypervolumeContribution gain(front, reference);
+    for (const Objectives &candidate :
+         {Objectives{1.0, 1.0, 1.0}, Objectives{2.0, 2.0, 2.0},
+          Objectives{0.0, 0.0, 2.5}, Objectives{2.0, 0.0, 2.0}}) {
+        EXPECT_EQ(bits(gain(candidate)),
+                  bits(dse::hypervolumeContribution(front, candidate,
+                                                    reference)));
+    }
+    // (1,1,1) dominates the 2x2x2 box [1,3]^3, of which the staircase
+    // already covers 2 + 2 + 2 - 1 - 1 - 1 + 1 = 4.
+    EXPECT_DOUBLE_EQ(gain({1.0, 1.0, 1.0}), 4.0);
 }
 
 TEST(Hypervolume, AgreesWithMonteCarlo3D)

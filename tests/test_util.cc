@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "util/matrix.h"
 #include "util/rng.h"
@@ -183,6 +186,86 @@ TEST(Matrix, CholeskyLogDeterminant)
     au::Matrix a = au::Matrix::identity(4).scaled(2.0);
     const au::CholeskyFactor factor(a, 0.0);
     EXPECT_NEAR(factor.logDeterminant(), 4.0 * std::log(2.0), 1e-9);
+}
+
+namespace
+{
+
+/** Random SPD matrix B^T B + I of size n (odd sizes exercise the
+ *  leftover rows and columns of the interleaved kernels). */
+au::Matrix
+randomSpd(std::size_t n, std::uint64_t seed)
+{
+    au::Rng rng(seed);
+    au::Matrix b(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            b(i, j) = rng.normal();
+    return b.transposed().multiply(b).add(au::Matrix::identity(n));
+}
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+} // namespace
+
+TEST(Matrix, CholeskyMatchesRowRecurrenceBitForBit)
+{
+    // Oracle: the textbook row-by-row recurrence. The interleaved
+    // column-order factorization must reproduce it exactly.
+    for (std::size_t n : {1u, 2u, 5u, 8u, 13u, 37u}) {
+        const au::Matrix a = randomSpd(n, 40 + n);
+        const double jitter = 1e-9;
+        au::Matrix expected(n, n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j <= i; ++j) {
+                double sum = a(i, j);
+                if (i == j)
+                    sum += jitter;
+                for (std::size_t k = 0; k < j; ++k)
+                    sum -= expected(i, k) * expected(j, k);
+                expected(i, j) =
+                    i == j ? std::sqrt(sum) : sum / expected(j, j);
+            }
+        }
+        const au::CholeskyFactor factor(a, jitter);
+        const au::Matrix &lower = factor.lower();
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                ASSERT_EQ(bits(lower(i, j)), bits(expected(i, j)))
+                    << "n " << n << " (" << i << ", " << j << ")";
+    }
+}
+
+TEST(Matrix, SolveLowerColumnsMatchesSingleSolvesBitForBit)
+{
+    // Oracle: scalar forward substitution of each column on its own.
+    const std::size_t n = 23;
+    const au::CholeskyFactor factor(randomSpd(n, 7));
+    const au::Matrix &lower = factor.lower();
+    au::Rng rng(8);
+    for (std::size_t columns : {1u, 3u, 4u, 9u}) {
+        std::vector<double> block(n * columns);
+        for (double &value : block)
+            value = rng.normal();
+        std::vector<double> solved = block;
+        factor.solveLowerColumns(solved, columns);
+        for (std::size_t c = 0; c < columns; ++c) {
+            std::vector<double> y(n, 0.0);
+            for (std::size_t i = 0; i < n; ++i) {
+                double sum = block[i * columns + c];
+                for (std::size_t k = 0; k < i; ++k)
+                    sum -= lower(i, k) * y[k];
+                y[i] = sum / lower(i, i);
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(bits(solved[i * columns + c]), bits(y[i]))
+                    << columns << " columns, column " << c << " row " << i;
+        }
+    }
 }
 
 TEST(Matrix, CholeskyFactorReconstructs)
