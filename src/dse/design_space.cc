@@ -9,17 +9,6 @@ namespace autopilot::dse
 
 using util::fatalIf;
 
-std::size_t
-hashEncoding(const Encoding &encoding)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ull;
-    for (int value : encoding) {
-        hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(value));
-        hash *= 0x100000001B3ull;
-    }
-    return static_cast<std::size_t>(hash);
-}
-
 std::string
 DesignPoint::name() const
 {

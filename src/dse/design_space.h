@@ -45,13 +45,6 @@ constexpr std::size_t precisionDim = 7;
 /** Choice-index encoding of one design point. */
 using Encoding = std::array<int, designDims>;
 
-/**
- * FNV-1a over the choice indices: the one hash used everywhere an
- * encoding is keyed (evaluator cache sharding, unordered containers).
- * Stable across runs, so shard assignment is deterministic.
- */
-std::size_t hashEncoding(const Encoding &encoding);
-
 /** One joint algorithm/hardware design point. */
 struct DesignPoint
 {

@@ -8,6 +8,9 @@
  * DesignPoint into one Evaluation; the DseEvaluator owns exactly one
  * backend and routes every cache miss through it, so the memoization,
  * batching and determinism machinery is shared by all cost models.
+ * The evaluator reserves one cache entry per point before calling
+ * evaluateBatch(), and each commit writes into its own entry, so a
+ * backend may commit from any pool worker in any order.
  *
  * Six registry names ship in-tree, over three implementations:
  *
@@ -107,7 +110,10 @@ class EvalBackend
 {
   public:
     /// Delivers the result for one batch index; may be invoked from
-    /// pool workers concurrently, exactly once per index.
+    /// pool workers concurrently, exactly once per index. Kept as a
+    /// callback for interface stability (wrappers override
+    /// evaluateBatch() to intercept it); the evaluator reads the
+    /// results only after the batch returns.
     using CommitFn = std::function<void(std::size_t, Evaluation &&)>;
 
     virtual ~EvalBackend() = default;

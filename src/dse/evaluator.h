@@ -15,29 +15,28 @@
  *
  * Evaluations are memoized: architectural simulation is the expensive step
  * the paper's Bayesian optimization is designed to conserve, and the
- * optimizers must never pay twice for the same point. The cache is
- * concurrent - evaluateBatch() fans distinct points out across an
- * attached util::ThreadPool, and a per-key in-flight guard ensures two
- * threads never simulate the same point twice even when they race on it.
+ * optimizers must never pay twice for the same point. The cache sits
+ * behind one mutex held for a whole evaluateBatch() or preload(), so
+ * concurrent callers are safe and simply run one batch at a time; the
+ * parallelism lives inside the batch, where the backend fans the
+ * distinct uncached points out across an attached util::ThreadPool.
+ * A batch whose backend throws is rolled back, leaving the cache, its
+ * counters and the replay-fresh marks exactly as they were.
  *
  * Telemetry: when the global util::Telemetry is enabled, cache traffic
- * is mirrored into the registry counters "dse.cache.hit",
- * "dse.cache.miss" and "dse.cache.inflight_wait" (always equal to
- * cacheStats()), per-point simulation time is recorded into the
- * "dse.simulate_s" histogram, each batch/simulation emits a trace
- * span ("dse.evaluateBatch" / "dse.simulate"), each backend batch
- * bumps "dse.backend.<name>.points", and the per-batch memo-key
- * construction (encodings hashed once up front, reused by every
- * shard lookup) is timed into "dse.cache.key_build_s".
+ * is mirrored into the registry counters "dse.cache.hit" and
+ * "dse.cache.miss" (always equal to cacheStats()), per-point simulation
+ * time is recorded into the "dse.simulate_s" histogram, each
+ * batch/simulation emits a trace span ("dse.evaluateBatch" /
+ * "dse.simulate"), and each backend batch bumps
+ * "dse.backend.<name>.points".
  */
 
 #ifndef AUTOPILOT_DSE_EVALUATOR_H
 #define AUTOPILOT_DSE_EVALUATOR_H
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,9 +77,6 @@ struct CacheStats
 {
     std::uint64_t hits = 0;   ///< Served from the memo cache.
     std::uint64_t misses = 0; ///< Triggered a simulation.
-    /// Subset of hits that had to wait for another thread's in-flight
-    /// simulation of the same point.
-    std::uint64_t inflightWaits = 0;
 
     std::uint64_t requests() const { return hits + misses; }
 };
@@ -174,26 +170,28 @@ class DseEvaluator
      * Evaluate a batch of encodings, simulating the distinct uncached
      * points in parallel on the attached pool (serially without one).
      *
-     * Thread-safe: concurrent batches (including overlapping ones) are
-     * coordinated through per-key in-flight guards, so each distinct
-     * point is simulated exactly once process-wide. The returned vector
-     * is aligned with @p encodings; `fresh` marks first-time points in
+     * Thread-safe: concurrent batches run one at a time, so each
+     * distinct point is simulated exactly once. The returned vector is
+     * aligned with @p encodings; `fresh` marks first-time points in
      * request order (duplicates within a batch are fresh only at their
-     * first position).
+     * first position). If the backend throws, the batch is rolled back
+     * - its points uncached, the replay-fresh marks it consumed
+     * restored, no hit or miss counted - and the exception propagates,
+     * so a retry behaves as if the failed call never happened.
      */
     std::vector<BatchResult> evaluateBatch(std::span<const Encoding> encodings);
 
     /**
      * Warm-start the memo cache from a replayed evaluation journal.
      *
-     * Each entry is inserted as a ready node, in @p evaluations order
-     * (defining its evaluation-order sequence), and marked
-     * *replay-fresh*: the first cache hit on it reports fresh=true and
-     * consumes the mark. A resumed optimizer therefore replays the
-     * identical trajectory as the uninterrupted run - replayed points
-     * cost no simulation yet still count against its budget exactly
-     * once, at the same step they originally did. Duplicate encodings
-     * keep the first entry. Call before any evaluateBatch(); replayed
+     * Each entry is inserted in @p evaluations order (defining its
+     * place in the evaluation order) and marked *replay-fresh*: the
+     * first cache hit on it reports fresh=true and consumes the mark.
+     * A resumed optimizer therefore replays the identical trajectory
+     * as the uninterrupted run - replayed points cost no simulation
+     * yet still count against its budget exactly once, at the same
+     * step they originally did. Duplicate encodings keep the first
+     * entry. Call before any evaluateBatch(); replayed
      * points count as cache hits in cacheStats(), never misses.
      *
      * Also forwards the prefix to EvalBackend::warmStart() so stateful
@@ -208,31 +206,20 @@ class DseEvaluator
      * is the journal hook: entries reach the sink only after the whole
      * batch has committed, so a journal written from it contains whole
      * batches in a strict request-order prefix of the run. Preloaded
-     * (replayed) points are never re-offered. Pass an empty function to
-     * detach.
+     * (replayed) points are never re-offered. The sink runs under the
+     * cache lock and must not call back into the evaluator. Pass an
+     * empty function to detach.
      */
     void setJournalSink(
         std::function<void(std::span<const Evaluation>)> sink);
 
-    /**
-     * Number of distinct points evaluated so far - completed
-     * simulations only, so this always equals allEvaluations().size()
-     * even while other threads' simulations are in flight. Thread-safe.
-     */
+    /** Number of distinct points evaluated so far. Thread-safe. */
     std::size_t evaluationCount() const;
 
     /**
-     * Number of distinct points reserved so far: completed evaluations
-     * plus simulations other threads still have in flight. Always
-     * >= evaluationCount(), equal once the process quiesces.
-     * Thread-safe.
-     */
-    std::size_t reservedCount() const;
-
-    /**
-     * All distinct completed evaluations so far, in evaluation order:
-     * the order in which the points were first requested (for batches,
-     * request order within the batch). This order is deterministic for
+     * All distinct evaluations so far, in evaluation order: the order
+     * in which the points were first requested (for batches, request
+     * order within the batch). This order is deterministic for
      * a fixed request sequence, which makes seeded runs reproducible
      * end to end. Thread-safe.
      */
@@ -251,36 +238,19 @@ class DseEvaluator
     std::string backendName() const;
 
   private:
-    /// Memo-cache node: the payload plus its in-flight state. Nodes are
-    /// heap-allocated once and never move, so Evaluation pointers handed
-    /// to callers stay valid while shard maps rehash/rebalance.
-    struct Node
+    /// Memo-cache entry: the payload plus its replay mark.
+    struct Entry
     {
         Evaluation evaluation;
-        std::atomic<bool> ready{false};
-        std::size_t sequence = 0; ///< Evaluation-order index.
         /// Preloaded from a journal and not yet re-requested: the first
         /// hit consumes this and reports fresh=true so a resumed
-        /// optimizer's budget accounting replays exactly. Guarded by
-        /// the owning shard's mutex.
+        /// optimizer's budget accounting replays exactly.
         bool replayFresh = false;
     };
 
-    /// One lock-domain of the cache. Encodings hash-partition across
-    /// shards so unrelated points do not contend on one mutex; the
-    /// per-shard condition variable parks threads waiting on another
-    /// thread's in-flight simulation of the same key.
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::condition_variable ready;
-        std::map<Encoding, std::unique_ptr<Node>> entries;
-    };
-
-    static constexpr std::size_t shardCount = 16;
-
-    Shard &shardFor(const Encoding &encoding);
-    const Shard &shardFor(const Encoding &encoding) const;
+    /// Run the backend over the batch's claimed entries, committing
+    /// each result into its entry.
+    void simulate(const std::vector<Entry *> &claimed, bool telemetry_on);
 
     const airlearning::PolicyDatabase &policyDb;
     airlearning::ObstacleDensity scenario;
@@ -290,18 +260,20 @@ class DseEvaluator
     util::CancelToken cancelToken; ///< Inert unless installed.
     std::string scenarioTag = "-"; ///< Mission-mix archive label.
 
-    std::array<Shard, shardCount> shards;
-    /// Nodes in first-request order; guards its own mutex because
-    /// appends come from whichever thread wins the key reservation.
-    mutable std::mutex orderMutex;
-    std::vector<const Node *> evaluationOrder;
+    /// Guards everything below; held for a whole evaluateBatch() or
+    /// preload(). Backend commits from pool workers write into entries
+    /// reserved before the backend runs, one index each, so they take
+    /// no lock of their own.
+    mutable std::mutex mutex;
+    /// Entries in evaluation order. A deque never moves its elements
+    /// on push_back, so Evaluation pointers handed out stay valid.
+    std::deque<Entry> entries;
+    std::map<Encoding, Entry *> index;
 
     /// Per-batch commit hook (journaling); set before the run starts.
     std::function<void(std::span<const Evaluation>)> journalSink;
 
-    std::atomic<std::uint64_t> hitCount{0};
-    std::atomic<std::uint64_t> missCount{0};
-    std::atomic<std::uint64_t> inflightWaitCount{0};
+    CacheStats stats;
 };
 
 } // namespace autopilot::dse

@@ -198,10 +198,22 @@ class JsonParser
             expectLiteral("false");
             return JsonValue::makeBoolean(false);
           case '"': return JsonValue::makeString(parseString());
-          case '[': return parseArray();
-          case '{': return parseObject();
+          case '[':
+          case '{': return parseNested();
           default:  return parseNumber();
         }
+    }
+
+    /** An array or object, one nesting level below the current one. */
+    JsonValue parseNested()
+    {
+        failIf(depth == maxJsonDepth,
+               "nesting deeper than " + std::to_string(maxJsonDepth) +
+                   " levels");
+        ++depth;
+        JsonValue value = peek() == '[' ? parseArray() : parseObject();
+        --depth;
+        return value;
     }
 
     JsonValue parseNumber()
@@ -364,6 +376,7 @@ class JsonParser
 
     const std::string &doc;
     std::size_t pos = 0;
+    std::size_t depth = 0; ///< Arrays/objects currently open.
 };
 
 } // namespace

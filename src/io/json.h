@@ -4,7 +4,9 @@
  * need to understand is our own telemetry trace export (plus small
  * hand-written config snippets in tests), so the parser supports the
  * full JSON value grammar but optimizes for clarity over speed and
- * fails loudly via fatal() on malformed input.
+ * fails loudly via fatal() on malformed input. Arrays and objects nest
+ * at most maxJsonDepth levels deep, so a hostile document fails with a
+ * diagnosis instead of exhausting the recursive parser's stack.
  */
 
 #ifndef AUTOPILOT_IO_JSON_H
@@ -18,6 +20,10 @@
 
 namespace autopilot::io
 {
+
+/// Deepest array/object nesting the parser accepts. Every document
+/// the project reads nests a handful of levels at most.
+constexpr std::size_t maxJsonDepth = 64;
 
 /** A parsed JSON value (tree of shared_ptr nodes). */
 class JsonValue
@@ -89,7 +95,8 @@ class JsonValue
 
 /**
  * Parse one JSON document. Fatal (with position information) on
- * malformed input or trailing garbage after the top-level value.
+ * malformed input, nesting deeper than maxJsonDepth, or trailing
+ * garbage after the top-level value.
  */
 JsonValue parseJson(const std::string &text);
 

@@ -3,13 +3,17 @@
  * Fixed-size worker thread pool with a sharded, work-stealing task
  * queue.
  *
- * The batch-parallel evaluation core (dse::DseEvaluator::evaluateBatch,
- * Phase 1 training fan-out, Phase 3 candidate mapping) runs on this
- * pool, and since the campaign service landed so do many concurrent
- * campaigns sharing one pool. Each worker owns a deque: tasks submitted
- * from a worker land on its own deque (locality), external submissions
- * round-robin across deques, and a worker whose deque runs dry steals
- * from its peers before sleeping. Sleeping is per-worker too: each
+ * The batch-parallel evaluation core (the cost-model backend batches
+ * behind dse::DseEvaluator::evaluateBatch, Phase 1 training fan-out,
+ * Phase 3 candidate mapping) runs on this pool, and since the campaign
+ * service landed so do many concurrent campaigns sharing one pool. The
+ * evaluator itself runs one batch at a time under its cache lock; the
+ * parallelism is the fan-out of each batch across these workers.
+ *
+ * Each worker owns a deque: tasks submitted from a worker land on its
+ * own deque (locality), external submissions round-robin across deques,
+ * and a worker whose deque runs dry steals from its peers before
+ * sleeping. Sleeping is per-worker too: each
  * worker parks on its own shard's condition variable and an enqueue
  * wakes the owner of the shard the task landed on (falling back to any
  * other parked worker), so a wake goes straight to a worker that can

@@ -401,21 +401,6 @@ TEST(TieredBackendDeath, AdaptiveClampMustBeOrdered)
                 ::testing::ExitedWithCode(1), "minBand");
 }
 
-// --------------------------------------------------- encoding hash reuse ----
-
-TEST(DesignSpace, HashEncodingIsStableAndSpreads)
-{
-    const auto points = distinctEncodings(64, 77);
-    std::set<std::size_t> buckets;
-    for (const dse::Encoding &encoding : points) {
-        EXPECT_EQ(dse::hashEncoding(encoding),
-                  dse::hashEncoding(encoding));
-        buckets.insert(dse::hashEncoding(encoding) % 16);
-    }
-    // FNV-1a over 64 distinct points should touch most of 16 shards.
-    EXPECT_GE(buckets.size(), 8u);
-}
-
 // ------------------------------------------------------------ contention ----
 
 namespace

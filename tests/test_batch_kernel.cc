@@ -14,7 +14,6 @@
  *  - AnalyticalBackend batch path vs. its own scalar evaluate() -
  *    field-exact Evaluations, including through a thread pool.
  *  - Degenerate-denominator guards return 0 instead of inf/NaN.
- *  - The dse.cache.key_build_s histogram records the memo-key hoist.
  */
 
 #include <gtest/gtest.h>
@@ -24,13 +23,11 @@
 
 #include "airlearning/trainer.h"
 #include "dse/eval_backend.h"
-#include "dse/evaluator.h"
 #include "nn/e2e_template.h"
 #include "systolic/compiled_plan.h"
 #include "systolic/engine.h"
 #include "util/arena.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace al = autopilot::airlearning;
@@ -351,28 +348,3 @@ TEST(AnalyticalBatch, PooledBatchMatchesSerialBatch)
     }
 }
 
-// ---------------------------------------------------------- telemetry ----
-
-TEST(KeyBuildTelemetry, EvaluatorRecordsKeyBuildHistogram)
-{
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    telemetry.reset();
-    telemetry.setEnabled(true);
-
-    dse::DseEvaluator evaluator(sharedDatabase(),
-                                al::ObstacleDensity::Dense);
-    dse::DesignSpace space;
-    util::Rng rng(0x7E1Eu);
-    std::vector<dse::Encoding> encodings;
-    for (int i = 0; i < 8; ++i)
-        encodings.push_back(space.randomEncoding(rng));
-    evaluator.evaluateBatch(encodings);
-
-    const util::MetricSample sample =
-        telemetry.metrics().find("dse.cache.key_build_s");
-    EXPECT_EQ(sample.kind, "histogram");
-    EXPECT_GE(sample.count, 1u);
-
-    telemetry.setEnabled(false);
-    telemetry.reset();
-}

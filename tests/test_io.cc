@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "airlearning/trainer.h"
 #include "dse/evaluator.h"
@@ -805,6 +806,68 @@ TEST(Json, UnicodeEscapeSurrogatePairDecodes)
     const io::JsonValue mixed =
         io::parseJson("\"x\\uD83D\\uDE80y\"");
     EXPECT_EQ(mixed.asString(), "x\xf0\x9f\x9a\x80y");
+}
+
+namespace
+{
+
+/** @p depth arrays nested inside each other: "[[...]]". */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+/** @p depth objects nested inside each other: {"k":{"k":{}}}. */
+std::string
+nestedObjects(std::size_t depth)
+{
+    std::string doc;
+    for (std::size_t i = 1; i < depth; ++i)
+        doc += "{\"k\":";
+    return doc + "{}" + std::string(depth - 1, '}');
+}
+
+} // namespace
+
+TEST(Json, NestingAtTheDepthLimitParses)
+{
+    io::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(io::tryParseJson(nestedArrays(io::maxJsonDepth), value,
+                                 error))
+        << error;
+    std::size_t depth = 1;
+    for (const io::JsonValue *v = &value; v->size() != 0;
+         v = &v->asArray().front())
+        ++depth;
+    EXPECT_EQ(depth, io::maxJsonDepth);
+    EXPECT_TRUE(io::tryParseJson(nestedObjects(io::maxJsonDepth), value,
+                                 error))
+        << error;
+}
+
+TEST(Json, OneLevelPastTheLimitIsRejectedWithDepthAndOffset)
+{
+    io::JsonValue value;
+    std::string error;
+    EXPECT_FALSE(io::tryParseJson(nestedArrays(io::maxJsonDepth + 1),
+                                  value, error));
+    EXPECT_EQ(error, "nesting deeper than 64 levels at offset 64");
+    error.clear();
+    EXPECT_FALSE(io::tryParseJson(nestedObjects(io::maxJsonDepth + 1),
+                                  value, error));
+    EXPECT_NE(error.find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << error;
+}
+
+TEST(Json, MillionLevelNestingIsRejectedWithoutCrashing)
+{
+    io::JsonValue value;
+    std::string error;
+    EXPECT_FALSE(io::tryParseJson(nestedArrays(1000000), value, error));
+    EXPECT_EQ(error, "nesting deeper than 64 levels at offset 64");
 }
 
 TEST(JsonDeath, RejectsLoneHighSurrogate)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the batch-parallel evaluation core: the util::ThreadPool,
- * the concurrent memo cache of DseEvaluator::evaluateBatch, and the
+ * the memo cache of DseEvaluator::evaluateBatch, and the
  * hard determinism requirement that every optimizer produces a
  * byte-identical result with and without worker threads.
  */
@@ -9,16 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "airlearning/trainer.h"
 #include "core/autopilot.h"
 #include "dse/annealing.h"
 #include "dse/bayesopt.h"
+#include "dse/eval_backend.h"
 #include "dse/evaluator.h"
 #include "dse/genetic.h"
 #include "dse/optimizer.h"
@@ -247,7 +252,7 @@ TEST(BatchEvaluator, ConcurrentHammerSimulatesEachPointOnce)
 
     // Every caller hammers the same distinct points, shuffled and
     // duplicated differently per round, racing both the pool workers
-    // and each other on the per-key in-flight guards.
+    // and each other on the cache lock.
     std::vector<std::thread> threads;
     threads.reserve(callers);
     std::atomic<std::uint64_t> requested{0};
@@ -272,9 +277,7 @@ TEST(BatchEvaluator, ConcurrentHammerSimulatesEachPointOnce)
         });
     }
     // While the hammer runs, the counters must stay reconciled at every
-    // instant: evaluationCount() covers completed simulations only (and
-    // so always matches allEvaluations()), while reservedCount() also
-    // includes other threads' in-flight work.
+    // instant: evaluationCount() always matches allEvaluations().
     std::atomic<bool> done{false};
     std::thread monitor([&] {
         while (!done.load(std::memory_order_acquire)) {
@@ -284,8 +287,7 @@ TEST(BatchEvaluator, ConcurrentHammerSimulatesEachPointOnce)
             const std::size_t after = evaluator.evaluationCount();
             EXPECT_LE(before, snapshot);
             EXPECT_LE(snapshot, after);
-            EXPECT_LE(after, evaluator.reservedCount());
-            EXPECT_LE(evaluator.reservedCount(), distinct);
+            EXPECT_LE(after, distinct);
             std::this_thread::yield();
         }
     });
@@ -294,11 +296,8 @@ TEST(BatchEvaluator, ConcurrentHammerSimulatesEachPointOnce)
     done.store(true, std::memory_order_release);
     monitor.join();
 
-    // Each distinct point was simulated exactly once process-wide, and
-    // the two progress counters reconcile now that the cache quiesced:
-    // no reservation is left without a completed evaluation.
+    // Each distinct point was simulated exactly once process-wide.
     EXPECT_EQ(evaluator.evaluationCount(), distinct);
-    EXPECT_EQ(evaluator.reservedCount(), distinct);
     EXPECT_EQ(evaluator.allEvaluations().size(),
               evaluator.evaluationCount());
     const dse::CacheStats stats = evaluator.cacheStats();
@@ -312,6 +311,153 @@ TEST(BatchEvaluator, ConcurrentHammerSimulatesEachPointOnce)
     for (const dse::Encoding &point : points) {
         EXPECT_EQ(evaluator.evaluate(point).objectives,
                   reference.evaluate(point).objectives);
+    }
+}
+
+namespace
+{
+
+/** Field-exact equality of two evaluations. */
+void
+expectSameEvaluation(const dse::Evaluation &a, const dse::Evaluation &b)
+{
+    EXPECT_EQ(a.encoding, b.encoding);
+    EXPECT_EQ(a.point, b.point);
+    EXPECT_EQ(a.successRate, b.successRate);
+    EXPECT_EQ(a.npuPowerW, b.npuPowerW);
+    EXPECT_EQ(a.socPowerW, b.socPowerW);
+    EXPECT_EQ(a.latencyMs, b.latencyMs);
+    EXPECT_EQ(a.fps, b.fps);
+    EXPECT_EQ(a.objectives, b.objectives);
+    EXPECT_EQ(a.fidelity, b.fidelity);
+    EXPECT_EQ(a.backend, b.backend);
+    EXPECT_EQ(a.scenario, b.scenario);
+    EXPECT_EQ(a.precision, b.precision);
+}
+
+/**
+ * Analytical backend whose first batch commits one result and then
+ * throws, like a simulator that crashes partway through a batch.
+ */
+class FailOnceBackend : public dse::AnalyticalBackend
+{
+  public:
+    FailOnceBackend()
+        : dse::AnalyticalBackend(dse::BackendContext{
+              &sharedDatabase(), al::ObstacleDensity::Dense, {}, {}})
+    {
+    }
+
+    void evaluateBatch(std::span<const dse::DesignPoint> points,
+                       util::ThreadPool *pool,
+                       const CommitFn &commit) override
+    {
+        if (std::exchange(failNext, false)) {
+            dse::AnalyticalBackend::evaluateBatch(points.first(1), pool,
+                                                  commit);
+            throw std::runtime_error("simulator crashed");
+        }
+        dse::AnalyticalBackend::evaluateBatch(points, pool, commit);
+    }
+
+  private:
+    bool failNext = true;
+};
+
+} // namespace
+
+TEST(BatchEvaluator, ThrowingBackendLeavesCacheAsBefore)
+{
+    const auto points = distinctEncodings(12, 61);
+    // Journal prefix: the first four points, replayed into both
+    // evaluators so the failed batch consumes replay-fresh marks.
+    dse::DseEvaluator source(sharedDatabase(), al::ObstacleDensity::Dense);
+    source.evaluateBatch(std::span(points).first(4));
+    const std::vector<dse::Evaluation> replayed = source.allEvaluations();
+
+    util::ThreadPool pool(4);
+    // Shared with the retry thread, which keeps it alive if it hangs.
+    auto evaluator = std::make_shared<dse::DseEvaluator>(
+        sharedDatabase(), al::ObstacleDensity::Dense,
+        std::make_unique<FailOnceBackend>());
+    evaluator->setThreadPool(&pool);
+    evaluator->preload(replayed);
+    dse::DseEvaluator reference(sharedDatabase(),
+                                al::ObstacleDensity::Dense);
+    reference.setThreadPool(&pool);
+    reference.preload(replayed);
+
+    // Two replayed hits, then every never-seen point.
+    std::vector<dse::Encoding> batch = {points[1], points[3]};
+    batch.insert(batch.end(), points.begin() + 4, points.end());
+
+    const std::size_t countBefore = evaluator->evaluationCount();
+    const dse::CacheStats statsBefore = evaluator->cacheStats();
+    EXPECT_THROW(evaluator->evaluateBatch(batch), std::runtime_error);
+    EXPECT_EQ(evaluator->evaluationCount(), countBefore);
+    EXPECT_EQ(evaluator->cacheStats().hits, statsBefore.hits);
+    EXPECT_EQ(evaluator->cacheStats().misses, statsBefore.misses);
+
+    // The retry runs on its own thread so a cache left waiting on the
+    // failed batch's claims fails the test instead of hanging it.
+    auto retry = std::make_shared<
+        std::promise<std::vector<dse::BatchResult>>>();
+    std::future<std::vector<dse::BatchResult>> retried =
+        retry->get_future();
+    std::thread([evaluator, retry, batch] {
+        retry->set_value(evaluator->evaluateBatch(batch));
+    }).detach();
+    ASSERT_EQ(retried.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "retry after a failed batch hung";
+    const std::vector<dse::BatchResult> results = retried.get();
+
+    const std::vector<dse::BatchResult> expected =
+        reference.evaluateBatch(batch);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(results[i].fresh);
+        expectSameEvaluation(*results[i].evaluation,
+                             *expected[i].evaluation);
+    }
+    const std::vector<dse::Evaluation> all = evaluator->allEvaluations();
+    const std::vector<dse::Evaluation> allExpected =
+        reference.allEvaluations();
+    ASSERT_EQ(all.size(), allExpected.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        expectSameEvaluation(all[i], allExpected[i]);
+    EXPECT_EQ(evaluator->cacheStats().hits, reference.cacheStats().hits);
+    EXPECT_EQ(evaluator->cacheStats().misses,
+              reference.cacheStats().misses);
+}
+
+TEST(BatchEvaluator, ResultPointersSurviveLaterBatches)
+{
+    dse::DseEvaluator evaluator(sharedDatabase(),
+                                al::ObstacleDensity::Dense);
+    util::ThreadPool pool(4);
+    evaluator.setThreadPool(&pool);
+
+    constexpr std::size_t first = 16;
+    constexpr std::size_t later = 640;
+    const auto points = distinctEncodings(first + later, 71);
+    const std::vector<dse::BatchResult> kept =
+        evaluator.evaluateBatch(std::span(points).first(first));
+    std::vector<dse::Evaluation> copies;
+    for (const dse::BatchResult &result : kept)
+        copies.push_back(*result.evaluation);
+
+    // Grow the cache well past its first allocation, one batch at a
+    // time, so a container that relocated its elements would leave
+    // the kept pointers dangling.
+    for (std::size_t begin = first; begin < points.size(); begin += 64)
+        evaluator.evaluateBatch(std::span(points).subspan(begin, 64));
+    ASSERT_EQ(evaluator.evaluationCount(), first + later);
+
+    for (std::size_t i = 0; i < first; ++i) {
+        SCOPED_TRACE(i);
+        expectSameEvaluation(*kept[i].evaluation, copies[i]);
     }
 }
 

@@ -479,6 +479,46 @@ TEST(Service, InboxToResultRoundTripWithRejects)
         << result;
 }
 
+TEST(Service, DeeplyNestedSubmissionIsRejectedWhileOthersFinish)
+{
+    // Golden: the good submission served alone in a fresh root.
+    const fs::path goldenRoot = testDir("nested_golden");
+    {
+        runner::ServiceConfig config = fastConfig(goldenRoot);
+        config.maxCampaigns = 1;
+        runner::CampaignService service(config);
+        submit(goldenRoot, "good", kSmallSubmission);
+        ASSERT_EQ(service.serve().completed, 1u);
+    }
+    const std::string golden =
+        fileBytes(goldenRoot / "results" / "good.result");
+    ASSERT_FALSE(golden.empty());
+
+    // A million nested arrays would exhaust an unbounded recursive
+    // parser's stack; it must cost one rejected file instead.
+    const fs::path root = testDir("nested");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxCampaigns = 1;
+    runner::CampaignService service(config);
+    submit(root, "poison",
+           std::string(1000000, '[') + std::string(1000000, ']'));
+    submit(root, "good", kSmallSubmission);
+    const runner::ServiceReport report = service.serve();
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.rejected, 1u);
+
+    EXPECT_TRUE(fs::exists(root / "done" / "poison.rejected"));
+    EXPECT_TRUE(fs::is_empty(root / "inbox"));
+    EXPECT_EQ(statusField(root, "poison", "state"), "rejected");
+    EXPECT_NE(statusField(root, "poison", "detail")
+                  .find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << statusField(root, "poison", "detail");
+    EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);
+    fs::remove_all(goldenRoot);
+    fs::remove_all(root);
+}
+
 TEST(Service, FairShareAdmissionRotatesAcrossTenants)
 {
     const fs::path root = testDir("fairshare");

@@ -383,8 +383,6 @@ TEST_F(TelemetryTest, EvaluatorCountersMatchCacheStats)
               stats.hits);
     EXPECT_EQ(telemetry.metrics().find("dse.cache.miss").count,
               stats.misses);
-    EXPECT_EQ(telemetry.metrics().find("dse.cache.inflight_wait").count,
-              stats.inflightWaits);
     // Every miss is simulated exactly once, but the analytical batch
     // path times per policy-group chunk (up to 32 points per sample)
     // rather than per point, so the histogram holds between one sample
