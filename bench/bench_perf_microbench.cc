@@ -405,16 +405,14 @@ BENCHMARK_CAPTURE(BM_BackendBatchEvaluate160, tiered, "tiered")
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Chunked-claiming sweep: a cheap per-iteration body over 64k indices
- * at 8 workers, with the claim grain at 1 / 16 / 256. At grain 1 every
- * index is its own fetch_add and the latch takes 64k one-count
- * count-downs; larger grains amortize both. queue_wait_ms_mean tracks
+ * Claiming sweep: a cheap per-iteration body over 64k indices at 8
+ * workers, so every index is its own fetch_add and latch count-down
+ * and the claim itself is what gets timed. queue_wait_ms_mean tracks
  * how long helper tasks sat in the pool queue before draining.
  */
 void
-BM_ParallelForGrain(benchmark::State &state)
+BM_ParallelFor(benchmark::State &state)
 {
-    const std::size_t grain = static_cast<std::size_t>(state.range(0));
     constexpr std::size_t n = 1 << 16;
     util::ThreadPool pool(8);
     std::vector<double> data(n, 1.0);
@@ -424,12 +422,9 @@ BM_ParallelForGrain(benchmark::State &state)
     telemetry.setEnabled(true);
 
     for (auto _ : state) {
-        pool.parallelFor(
-            n,
-            [&](std::size_t i) {
-                benchmark::DoNotOptimize(data[i] += 1.0);
-            },
-            grain);
+        pool.parallelFor(n, [&](std::size_t i) {
+            benchmark::DoNotOptimize(data[i] += 1.0);
+        });
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -448,10 +443,7 @@ BM_ParallelForGrain(benchmark::State &state)
             : wait_s.sum / static_cast<double>(wait_s.count) * 1e3);
     telemetry.reset();
 }
-BENCHMARK(BM_ParallelForGrain)
-    ->Arg(1)
-    ->Arg(16)
-    ->Arg(256)
+BENCHMARK(BM_ParallelFor)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

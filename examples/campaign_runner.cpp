@@ -15,9 +15,9 @@
  * submission JSON per campaign into ROOT/inbox/ (write elsewhere, then
  * rename into place); results appear in ROOT/results/, live status in
  * ROOT/status/. Many campaigns run concurrently over one shared
- * work-stealing pool with per-tenant fair-share admission. SIGINT or
- * SIGTERM drains: running campaigns stop at the next batch boundary
- * and resume byte-identically on the next --serve. SIGKILL is also
+ * thread pool with per-tenant fair-share admission. SIGINT or SIGTERM
+ * drains: running campaigns stop at the next batch boundary and
+ * resume byte-identically on the next --serve. SIGKILL is also
  * safe - at most one in-flight batch per campaign is recomputed.
  *
  *   campaign_runner --serve /tmp/svc --max-active 2 --workers 4

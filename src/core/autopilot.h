@@ -240,8 +240,8 @@ class AutoPilot
     /**
      * Construct on a caller-owned worker pool instead of a private
      * one: the campaign service runs many concurrent pipelines over a
-     * single shared (work-stealing) pool, so one huge campaign's tasks
-     * interleave with everyone else's instead of monopolizing threads.
+     * single shared pool, so one huge campaign's tasks interleave with
+     * everyone else's instead of monopolizing threads.
      * @p sharedPool is non-owning and must outlive the pipeline; null
      * falls back to the private-pool behavior of the other ctor.
      * Results are identical either way (tasks are pure, commits are

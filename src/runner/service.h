@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign service: a file-drop daemon running many campaigns for many
- * tenants over one shared work-stealing pool.
+ * tenants over one shared thread pool.
  *
  * Layout under ServiceConfig::rootDir (created on demand):
  *
@@ -24,8 +24,8 @@
  * FIFO within their tenant, and free campaign slots rotate across
  * tenants, so one tenant's burst of 50 campaigns cannot starve another
  * tenant's single run. All admitted campaigns execute their pipeline
- * stages on ONE shared util::ThreadPool (work-stealing), so a huge
- * campaign's tasks interleave with everyone else's.
+ * stages on ONE shared util::ThreadPool, so a huge campaign's tasks
+ * interleave with everyone else's.
  *
  * Crash safety: the on-disk truth is the submission file's location
  * (inbox -> active -> done) plus the per-campaign journals in work/.
@@ -132,8 +132,8 @@ struct ServiceConfig
     /// Campaigns running concurrently; queued submissions wait their
     /// tenant's round-robin turn. Must be >= 1.
     int maxActiveCampaigns = 2;
-    /// Worker threads in the shared work-stealing pool all campaigns
-    /// execute on; 0 uses the hardware concurrency.
+    /// Worker threads in the shared pool all campaigns execute on; 0
+    /// uses the hardware concurrency.
     int poolThreads = 0;
     /// Inbox scan / reap interval.
     double pollSeconds = 0.2;

@@ -1,6 +1,10 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <exception>
+#include <latch>
 
 namespace autopilot::util
 {
@@ -8,33 +12,16 @@ namespace autopilot::util
 namespace
 {
 
-/// Identity of the pool worker running on this thread (null off-pool):
-/// lets submit() route follow-up work onto the submitting worker's own
-/// shard instead of paying the round-robin cursor.
-thread_local const ThreadPool *currentPool = nullptr;
-thread_local std::size_t currentWorker = 0;
+/** steady_clock now in nanoseconds since its epoch. */
+std::int64_t
+nowNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
 
 } // namespace
-
-void
-Latch::countDown(std::ptrdiff_t n)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (remaining > 0) {
-        remaining -= n;
-        if (remaining <= 0) {
-            remaining = 0;
-            cv.notify_all();
-        }
-    }
-}
-
-void
-Latch::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return remaining == 0; });
-}
 
 ThreadPool::ThreadPool(std::size_t threads)
 {
@@ -43,9 +30,6 @@ ThreadPool::ThreadPool(std::size_t threads)
         if (threads == 0)
             threads = 1;
     }
-    shards.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        shards.push_back(std::make_unique<Shard>());
     workers.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
         workers.emplace_back([this, i] { workerLoop(i); });
@@ -59,26 +43,14 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::shutdown()
 {
-    // The stop mark is set while holding every shard lock: any submit
-    // holds its target shard's lock across its own stop check and push,
-    // so it either completed the push before the mark (the drain below
-    // runs the task) or observes the mark and rejects. This is the
-    // explicit submit-vs-shutdown ordering the header documents.
+    // Setting the mark under the queue lock orders it against every
+    // enqueue: a push either completed before it (the drain below runs
+    // the task) or sees the mark and rejects.
     {
-        std::vector<std::unique_lock<std::mutex>> locks;
-        locks.reserve(shards.size());
-        for (const std::unique_ptr<Shard> &shard : shards)
-            locks.emplace_back(shard->mutex);
-        stopping.store(true, std::memory_order_seq_cst);
+        std::lock_guard<std::mutex> lock(mutex);
+        stopping = true;
     }
-    // Wake every parked owner; the empty lock scope fences against a
-    // worker's predicate check so the notify is never slept through,
-    // and notifying outside it means the woken worker does not stall
-    // on a mutex the notifier still holds.
-    for (const std::unique_ptr<Shard> &shard : shards) {
-        { std::lock_guard<std::mutex> lock(shard->mutex); }
-        shard->cv.notify_all();
-    }
+    wake.notify_all();
     std::lock_guard<std::mutex> lock(joinMutex);
     if (joined)
         return;
@@ -90,94 +62,16 @@ ThreadPool::shutdown()
 bool
 ThreadPool::enqueue(QueuedTask task)
 {
-    Telemetry &telemetry = Telemetry::instance();
-    const bool measured = telemetry.enabled();
-    if (measured)
+    if (Telemetry::instance().enabled())
         task.enqueuedAtNs = nowNs();
-
-    const std::size_t shardIndex =
-        currentPool == this
-            ? currentWorker
-            : nextShard.fetch_add(1, std::memory_order_relaxed) %
-                  shards.size();
-    Shard &shard = *shards[shardIndex];
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (stopping.load(std::memory_order_acquire))
+        std::lock_guard<std::mutex> lock(mutex);
+        if (stopping)
             return false;
-        shard.tasks.push_back(std::move(task));
-        shard.size.store(shard.tasks.size(),
-                         std::memory_order_relaxed);
+        queue.push_back(std::move(task));
     }
-    // The queue-depth gauge is published on the pop side (runTask):
-    // a registry lookup here would sit between the enqueue timestamp
-    // and the wake, inflating every measured queue wait.
-    //
-    // Publish-then-claim: the seq_cst fetch_add orders against a
-    // parking worker's parked-publish / pending-recheck (see
-    // workerLoop), so either wakeOne sees the worker parked or the
-    // worker sees this push's pending count and refuses to sleep.
-    pending.fetch_add(1, std::memory_order_seq_cst);
-    wakeOne(shardIndex);
+    wake.notify_one();
     return true;
-}
-
-void
-ThreadPool::wakeOne(std::size_t preferred)
-{
-    // Prefer the owner of the shard the task landed on: it pops from
-    // its own deque with no steal sweep. exchange(false) CLAIMS the
-    // sleeper, so a burst of submissions wakes that many distinct
-    // workers instead of poking the same one repeatedly. When nobody
-    // is parked this is a sweep of plain loads and no locks - every
-    // worker is awake and one of them will sweep the shards before
-    // parking again. The loads must be seq_cst to complete the Dekker
-    // pair with the parking worker (parked-publish / pending-recheck):
-    // a relaxed load here could miss the parked flag while the parker
-    // also misses our pending bump, and the task would be slept
-    // through.
-    for (std::size_t offset = 0; offset < shards.size(); ++offset) {
-        Shard &shard = *shards[(preferred + offset) % shards.size()];
-        if (!shard.parked.load(std::memory_order_seq_cst))
-            continue;
-        if (!shard.parked.exchange(false, std::memory_order_seq_cst))
-            continue; // Another submission claimed this sleeper.
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.poked = true;
-        }
-        shard.cv.notify_one();
-        return;
-    }
-}
-
-bool
-ThreadPool::tryAcquire(std::size_t self, QueuedTask &task, bool &stolen)
-{
-    // Own deque first (LIFO locality is irrelevant here - tasks are
-    // pure - so FIFO keeps queue-wait fair), then sweep the peers.
-    // Empty shards are skipped on the lock-free size mirror: sweeping
-    // N-1 empty peers costs N-1 relaxed loads, not N-1 mutex round
-    // trips. A stale zero only delays this probe; the sleep protocol
-    // re-checks `pending` under sleepMutex before parking, so a task
-    // pushed concurrently is picked up on the retry, never slept
-    // through.
-    for (std::size_t offset = 0; offset < shards.size(); ++offset) {
-        const std::size_t index = (self + offset) % shards.size();
-        Shard &shard = *shards[index];
-        if (shard.size.load(std::memory_order_relaxed) == 0)
-            continue;
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.tasks.empty())
-            continue;
-        task = std::move(shard.tasks.front());
-        shard.tasks.pop_front();
-        shard.size.store(shard.tasks.size(),
-                         std::memory_order_relaxed);
-        stolen = index != self;
-        return true;
-    }
-    return false;
 }
 
 struct ThreadPool::WorkerMetrics
@@ -189,15 +83,13 @@ struct ThreadPool::WorkerMetrics
     Histogram *queueWait = nullptr;
     Histogram *taskRun = nullptr;
     Counter *tasks = nullptr;
-    Counter *steals = nullptr;
     Counter *busy = nullptr;
 };
 
 void
-ThreadPool::runTask(QueuedTask &task, std::size_t worker, bool stolen,
-                    WorkerMetrics &cached)
+ThreadPool::runTask(QueuedTask &task, std::size_t worker,
+                    std::size_t depth, WorkerMetrics &cached)
 {
-    const std::size_t depth = pending.fetch_sub(1) - 1;
     Telemetry &telemetry = Telemetry::instance();
     if (!telemetry.enabled()) {
         task.run();
@@ -219,7 +111,6 @@ ThreadPool::runTask(QueuedTask &task, std::size_t worker, bool stolen,
         cached.queueWait = &metrics.histogram("pool.queue_wait_s");
         cached.taskRun = &metrics.histogram("pool.task_run_s");
         cached.tasks = &metrics.counter("pool.tasks");
-        cached.steals = &metrics.counter("pool.steals");
         cached.busy = &metrics.counter(
             "pool.worker." + std::to_string(worker) + ".busy_us");
         cached.generation = generation;
@@ -234,90 +125,52 @@ ThreadPool::runTask(QueuedTask &task, std::size_t worker, bool stolen,
     const std::int64_t busy_ns = nowNs() - started_ns;
     cached.taskRun->record(static_cast<double>(busy_ns) * 1e-9);
     cached.tasks->add();
-    if (stolen)
-        cached.steals->add();
     cached.busy->add(static_cast<std::uint64_t>(busy_ns / 1000));
 }
 
 void
 ThreadPool::workerLoop(std::size_t worker)
 {
-    currentPool = this;
-    currentWorker = worker;
-    QueuedTask task;
-    bool stolen = false;
     WorkerMetrics cached; // This worker's instrument handles.
     for (;;) {
-        if (tryAcquire(worker, task, stolen)) {
-            runTask(task, worker, stolen, cached);
-            task.run = nullptr;
-            continue;
+        QueuedTask task;
+        std::size_t depth = 0;
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            wake.wait(lock,
+                      [this] { return stopping || !queue.empty(); });
+            // Once stopping, no push can land, so empty means drained.
+            if (queue.empty())
+                return;
+            task = std::move(queue.front());
+            queue.pop_front();
+            depth = queue.size();
         }
-        if (stopping.load(std::memory_order_acquire)) {
-            // The stop mark is only set once no further pushes can
-            // land (see shutdown()), so one final sweep after
-            // observing it is authoritative: empty means drained.
-            if (tryAcquire(worker, task, stolen)) {
-                runTask(task, worker, stolen, cached);
-                task.run = nullptr;
-                continue;
-            }
-            return;
-        }
-        // Park on the home shard's own cv - no pool-wide sleep lock
-        // for wake bursts to convoy on. Publish parked=true, then
-        // re-check the pool-wide pending count (the Dekker partner of
-        // enqueue's publish-then-claim): an enqueue that missed the
-        // parked flag has already bumped `pending`, so we retry the
-        // sweep instead of sleeping through its task.
-        Shard &home = *shards[worker];
-        std::unique_lock<std::mutex> lock(home.mutex);
-        if (!home.tasks.empty())
-            continue; // Pushed to our shard between sweep and lock.
-        home.parked.store(true, std::memory_order_seq_cst);
-        if (pending.load(std::memory_order_seq_cst) > 0 ||
-            stopping.load(std::memory_order_acquire)) {
-            home.parked.store(false, std::memory_order_relaxed);
-            continue;
-        }
-        home.cv.wait(lock, [this, &home] {
-            return stopping.load(std::memory_order_acquire) ||
-                   home.poked || !home.tasks.empty();
-        });
-        home.poked = false;
-        home.parked.store(false, std::memory_order_relaxed);
+        runTask(task, worker, depth, cached);
     }
 }
 
 void
 ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &body,
-                        std::size_t grain)
+                        const std::function<void(std::size_t)> &body)
 {
     if (count == 0)
         return;
-    if (grain == 0)
-        grain = 1;
-    if (count <= grain) {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        return;
-    }
 
     // Shared claim counter + completion latch + first-error slot.
-    // Helpers (one per worker, capped at the chunk count) and the
-    // caller all drain the same counter, so the caller always makes
-    // progress even when every worker is busy with unrelated tasks.
-    // The caller waits on the latch, NOT on the helper tasks: a helper
-    // that never gets scheduled (e.g. nested parallelFor from a worker,
-    // or a rejected submit during pool shutdown) is harmless - once all
-    // iterations are claimed it would exit without touching caller
-    // state, so no self-deadlock is possible.
+    // Helpers (one per worker, capped at count - 1) and the caller all
+    // drain the same counter, so the caller always makes progress even
+    // when every worker is busy with unrelated tasks. The caller waits
+    // on the latch, NOT on the helper tasks: a helper that never gets
+    // scheduled (e.g. nested parallelFor from a worker, or a rejected
+    // submit during pool shutdown) is harmless - once all iterations
+    // are claimed it would exit without touching caller state, so no
+    // self-deadlock is possible.
     struct State
     {
         explicit State(std::ptrdiff_t n) : done(n) {}
         std::atomic<std::size_t> next{0};
-        Latch done;
+        std::latch done;
         std::atomic<bool> failed{false};
         std::exception_ptr error;
         std::mutex errorMutex;
@@ -325,16 +178,15 @@ ThreadPool::parallelFor(std::size_t count,
     auto state =
         std::make_shared<State>(static_cast<std::ptrdiff_t>(count));
 
-    auto drain = [state, count, grain, &body]() {
+    auto drain = [state, count, &body]() {
         for (;;) {
-            const std::size_t begin =
-                state->next.fetch_add(grain, std::memory_order_relaxed);
-            if (begin >= count)
+            const std::size_t i =
+                state->next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
                 return;
-            const std::size_t end = std::min(begin + grain, count);
-            for (std::size_t i = begin; i < end; ++i) {
-                if (state->failed.load(std::memory_order_relaxed))
-                    break;
+            // Iterations abandoned after a failure still count down:
+            // they were claimed.
+            if (!state->failed.load(std::memory_order_relaxed)) {
                 try {
                     body(i);
                 } catch (...) {
@@ -345,15 +197,11 @@ ThreadPool::parallelFor(std::size_t count,
                                         std::memory_order_relaxed);
                 }
             }
-            // One count-down per claimed chunk (abandoned iterations
-            // after a failure are counted as done: they were claimed).
-            state->done.countDown(
-                static_cast<std::ptrdiff_t>(end - begin));
+            state->done.count_down();
         }
     };
 
-    const std::size_t chunks = (count + grain - 1) / grain;
-    const std::size_t helpers = std::min(workers.size(), chunks - 1);
+    const std::size_t helpers = std::min(workers.size(), count - 1);
     for (std::size_t h = 0; h < helpers; ++h)
         submit(drain);
 
@@ -366,11 +214,10 @@ ThreadPool::parallelFor(std::size_t count,
 
 void
 parallel_for(ThreadPool *pool, std::size_t count,
-             const std::function<void(std::size_t)> &body,
-             std::size_t grain)
+             const std::function<void(std::size_t)> &body)
 {
     if (pool != nullptr) {
-        pool->parallelFor(count, body, grain);
+        pool->parallelFor(count, body);
         return;
     }
     for (std::size_t i = 0; i < count; ++i)

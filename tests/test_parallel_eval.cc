@@ -144,21 +144,6 @@ TEST(ThreadPool, FreeFunctionRunsSeriallyWithoutPool)
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(Latch, ReleasesAfterFullCountdown)
-{
-    util::Latch latch(2);
-    std::atomic<bool> released{false};
-    std::thread waiter([&] {
-        latch.wait();
-        released.store(true);
-    });
-    latch.countDown();
-    EXPECT_FALSE(released.load());
-    latch.countDown();
-    waiter.join();
-    EXPECT_TRUE(released.load());
-}
-
 // ----------------------------------------------------- concurrent cache ----
 
 TEST(BatchEvaluator, FreshFlagsMarkFirstOccurrencesOnly)
@@ -625,18 +610,17 @@ TEST(RecordEvaluations, CapsFreshPointsAtMaxNewPoints)
 }
 
 
-// ------------------------------------------- work-stealing pool races ----
+// ------------------------------------------------ pool shutdown races ----
 
-TEST(ThreadPool, ShutdownIsIdempotentAndObservable)
+TEST(ThreadPool, ShutdownIsIdempotent)
 {
     util::ThreadPool pool(2);
-    EXPECT_FALSE(pool.stopped());
     auto before = pool.submit([] { return 7; });
     EXPECT_EQ(before.get(), 7);
     pool.shutdown();
-    EXPECT_TRUE(pool.stopped());
     pool.shutdown(); // Second call must be a no-op, not a hang/crash.
-    EXPECT_TRUE(pool.stopped());
+    auto after = pool.submit([] { return 8; });
+    EXPECT_THROW(after.get(), util::ThreadPoolStopped);
 }
 
 TEST(ThreadPool, SubmitAfterShutdownReturnsFailedFutureAndNeverRuns)
@@ -708,11 +692,11 @@ TEST(ThreadPool, SubmitShutdownRaceNeverLosesAcceptedTasks)
     }
 }
 
-TEST(ThreadPool, StealHeavyStressExecutesEveryTaskExactlyOnce)
+TEST(ThreadPool, UnevenStressExecutesEveryTaskExactlyOnce)
 {
-    // External submissions round-robin across shards while the uneven
-    // task bodies force idle workers to steal from loaded peers. Under
-    // TSan this is the main data-race stress for the sharded deques.
+    // Thousands of external submissions with uneven task bodies keep
+    // the queue, the workers' pops and their wake-ups busy at once.
+    // Under TSan this is the main data-race stress for the queue.
     util::ThreadPool pool(4);
     constexpr std::size_t kTasks = 4000;
     std::atomic<std::size_t> executed{0};
@@ -721,7 +705,7 @@ TEST(ThreadPool, StealHeavyStressExecutesEveryTaskExactlyOnce)
     for (std::size_t i = 0; i < kTasks; ++i) {
         futures.push_back(pool.submit([i, &executed] {
             // Uneven busy-work: every 16th task is ~100x heavier, so
-            // its shard backs up and the other workers must steal.
+            // workers finish out of order and the queue backs up.
             std::size_t spin = (i % 16 == 0) ? 2500 : 25;
             volatile std::size_t acc = 0;
             for (std::size_t k = 0; k < spin; ++k)
@@ -737,6 +721,79 @@ TEST(ThreadPool, StealHeavyStressExecutesEveryTaskExactlyOnce)
     EXPECT_EQ(executed.load(), kTasks);
 }
 
+TEST(ThreadPool, ConcurrentParallelForCallersShareOnePool)
+{
+    // The campaign service's shape: several campaign threads each run
+    // parallelFor on one shared pool, first with fewer workers than
+    // callers, then with more. One caller's body throws at one index:
+    // that caller gets the exception, and every other caller covers
+    // each of its indices exactly once.
+    constexpr std::size_t kCallers = 3;
+    constexpr std::size_t kCount = 2000;
+    constexpr std::size_t kFailingCaller = 1;
+    constexpr std::size_t kFailingIndex = 777;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(workers);
+        // Owned jointly with the callers, so a caller left behind by a
+        // timed-out wait never touches a dead stack frame.
+        struct Shared
+        {
+            explicit Shared(std::size_t threads) : pool(threads) {}
+            util::ThreadPool pool;
+            std::vector<std::vector<std::atomic<int>>> hits;
+        };
+        auto shared = std::make_shared<Shared>(workers);
+        for (std::size_t c = 0; c < kCallers; ++c)
+            shared->hits.emplace_back(kCount);
+
+        std::vector<std::future<void>> done;
+        std::vector<std::thread> callers;
+        for (std::size_t c = 0; c < kCallers; ++c) {
+            auto finished = std::make_shared<std::promise<void>>();
+            done.push_back(finished->get_future());
+            callers.emplace_back([shared, finished, c] {
+                try {
+                    shared->pool.parallelFor(kCount, [&](std::size_t i) {
+                        shared->hits[c][i].fetch_add(1);
+                        if (c == kFailingCaller && i == kFailingIndex)
+                            throw std::runtime_error("caller 1 fails");
+                    });
+                    finished->set_value();
+                } catch (...) {
+                    finished->set_exception(std::current_exception());
+                }
+            });
+        }
+        bool allFinished = true;
+        for (std::future<void> &future : done) {
+            allFinished = allFinished &&
+                          future.wait_for(std::chrono::seconds(60)) ==
+                              std::future_status::ready;
+        }
+        if (!allFinished) {
+            for (std::thread &caller : callers)
+                caller.detach();
+            FAIL() << "a parallelFor caller hung";
+        }
+        for (std::thread &caller : callers)
+            caller.join();
+
+        for (std::size_t c = 0; c < kCallers; ++c) {
+            SCOPED_TRACE(c);
+            if (c == kFailingCaller) {
+                EXPECT_THROW(done[c].get(), std::runtime_error);
+                EXPECT_EQ(shared->hits[c][kFailingIndex].load(), 1);
+                for (std::size_t i = 0; i < kCount; ++i)
+                    ASSERT_LE(shared->hits[c][i].load(), 1) << i;
+                continue;
+            }
+            EXPECT_NO_THROW(done[c].get());
+            for (std::size_t i = 0; i < kCount; ++i)
+                ASSERT_EQ(shared->hits[c][i].load(), 1) << i;
+        }
+    }
+}
+
 TEST(ThreadPool, ParallelForCompletesOnStoppedPool)
 {
     // parallelFor's helpers are rejected after shutdown, but the caller
@@ -744,8 +801,7 @@ TEST(ThreadPool, ParallelForCompletesOnStoppedPool)
     util::ThreadPool pool(2);
     pool.shutdown();
     std::vector<int> hits(257, 0);
-    pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i]++; },
-                     16);
+    pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i]++; });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i], 1) << i;
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -351,9 +352,16 @@ TEST_F(TelemetryTest, ConcurrentUpdatesAreLossless)
     EXPECT_GE(gauge.maxValue(), 1);
     EXPECT_EQ(telemetry.trace().eventCount(), kTasks);
 
-    // The instrumented pool recorded its own task metrics too.
-    EXPECT_GT(telemetry.metrics().find("pool.tasks").count, 0u);
-    EXPECT_GT(telemetry.metrics().find("pool.task_run_s").count, 0u);
+    // The instrumented pool recorded its own task metrics too: one
+    // helper per worker for the parallelFor plus the one submit, each
+    // waited for and run exactly once.
+    constexpr std::uint64_t kPoolTasks = 4 + 1;
+    EXPECT_EQ(telemetry.metrics().find("pool.tasks").count, kPoolTasks);
+    EXPECT_EQ(telemetry.metrics().find("pool.queue_wait_s").count,
+              kPoolTasks);
+    EXPECT_EQ(telemetry.metrics().find("pool.task_run_s").count,
+              kPoolTasks);
+    EXPECT_EQ(telemetry.metrics().find("pool.steals").count, 0u);
 }
 
 // ------------------------------------------------------------ pipeline ----
