@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -19,6 +20,8 @@
 
 #include "airlearning/rollout.h"
 #include "airlearning/trainer.h"
+#include "dram/config.h"
+#include "dram/engine.h"
 #include "dse/eval_backend.h"
 #include "dse/evaluator.h"
 #include "dse/gaussian_process.h"
@@ -113,6 +116,43 @@ BM_CycleEngineFullModel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CycleEngineFullModel);
+
+void
+BM_DramChannelLayer(benchmark::State &state)
+{
+    // One bank-level DramCycleEngine pass over the (5, 32) E2E policy
+    // plus a layer that spills every scratchpad, sharing the channel
+    // with the paper's camera (400 MB/s, linear) and host (200 MB/s,
+    // random) streams. Nearly every burst is background traffic, so
+    // ns_per_burst is the per-burst cost of the channel arbiter.
+    std::vector<nn::Layer> layers = nn::buildE2EModel({5, 32}).layers();
+    layers.push_back(nn::conv2d("spill", 128, 128, 48, 3, 1, 96));
+    systolic::AcceleratorConfig config;
+    config.peRows = config.peCols = 16;
+    config.ifmapSramKb = config.filterSramKb = config.ofmapSramKb = 64;
+    const dram::DramSpec spec =
+        dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6);
+    double bursts = 0.0;
+    double nanoseconds = 0.0;
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        const dram::DramCycleEngine engine(config, spec);
+        std::int64_t cycles = 0;
+        for (const nn::Layer &layer : layers)
+            cycles += engine.runLayer(layer).totalCycles;
+        benchmark::DoNotOptimize(cycles);
+        nanoseconds += std::chrono::duration<double, std::nano>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+        const dram::ChannelStats &stats = engine.runStats();
+        bursts += static_cast<double>(stats.npuRequests +
+                                      stats.backgroundRequests);
+    }
+    state.counters["bursts"] =
+        benchmark::Counter(bursts, benchmark::Counter::kAvgIterations);
+    state.counters["ns_per_burst"] = nanoseconds / bursts;
+}
+BENCHMARK(BM_DramChannelLayer)->Unit(benchmark::kMillisecond);
 
 void
 BM_NpuPowerEstimate(benchmark::State &state)

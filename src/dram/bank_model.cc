@@ -1,5 +1,8 @@
 #include "dram/bank_model.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/logging.h"
 
 namespace autopilot::dram
@@ -27,62 +30,49 @@ ChannelStats::accumulate(const ChannelStats &other)
     }
 }
 
-BankModel::BankModel(const DramTiming &config)
-    : timing(config),
-      openRow(static_cast<std::size_t>(config.banks), -1),
-      nextRefresh(config.tRefiCycles)
+BankModel::BankModel(const DramTiming &timing)
+    : rowBytes(timing.rowBytes), banks(timing.banks),
+      latencyCycles{timing.tCasCycles,
+                    timing.tCasCycles + timing.tRcdCycles,
+                    timing.tCasCycles + timing.tRpCycles +
+                        timing.tRcdCycles},
+      refiCycles(timing.tRefiCycles), rfcCycles(timing.tRfcCycles),
+      closedPolicy(timing.rowPolicy == RowPolicy::Closed),
+      openRow(static_cast<std::size_t>(std::max(timing.banks, 0)), -1),
+      nextRefresh(timing.tRefiCycles)
 {
     util::fatalIf(timing.banks <= 0 || timing.rowBytes <= 0 ||
                       timing.tRefiCycles <= 0,
                   "BankModel: degenerate timing - validate the DramSpec "
                   "before simulating");
+    const auto rows = static_cast<std::uint64_t>(rowBytes);
+    const auto bankCount = static_cast<std::uint64_t>(banks);
+    powerOfTwoGeometry =
+        std::has_single_bit(rows) && std::has_single_bit(bankCount);
+    rowShift = std::countr_zero(rows);
+    bankShift = std::countr_zero(bankCount);
 }
 
 std::int64_t
-BankModel::service(std::int64_t addr, std::int64_t bytes,
-                   std::int64_t start, std::int64_t bytesPerCycle,
-                   ChannelStats &stats)
+BankModel::refresh(std::int64_t start)
 {
-    // Refresh is all-bank: catch up on every interval boundary the
-    // channel slept through, close the rows, and push the request past
-    // the stall when it lands inside one.
-    while (start >= nextRefresh) {
-        const std::int64_t stallEnd = nextRefresh + timing.tRfcCycles;
-        for (std::int64_t &row : openRow)
-            row = -1;
-        ++stats.refreshes;
-        if (start < stallEnd)
-            start = stallEnd;
-        nextRefresh += timing.tRefiCycles;
-    }
+    const std::int64_t stallEnd = nextRefresh + rfcCycles;
+    std::fill(openRow.begin(), openRow.end(), -1);
+    ++refreshes;
+    nextRefresh += refiCycles;
+    return start < stallEnd ? stallEnd : start;
+}
 
-    const std::size_t bank = static_cast<std::size_t>(
-        (addr / timing.rowBytes) % timing.banks);
-    const std::int64_t row = addr / (timing.rowBytes * timing.banks);
-
-    std::int64_t latency = timing.tCasCycles;
-    if (openRow[bank] == row) {
-        ++stats.rowHits;
-    } else if (openRow[bank] < 0) {
-        ++stats.rowMisses;
-        ++stats.activates;
-        latency += timing.tRcdCycles;
-    } else {
-        ++stats.rowConflicts;
-        ++stats.activates;
-        ++stats.precharges;
-        latency += timing.tRpCycles + timing.tRcdCycles;
-    }
-    if (timing.rowPolicy == RowPolicy::Open) {
-        openRow[bank] = row;
-    } else {
-        openRow[bank] = -1; // Auto-precharge: the next access misses.
-        ++stats.precharges;
-    }
-
-    const std::int64_t transfer =
-        (bytes + bytesPerCycle - 1) / bytesPerCycle;
-    return start + latency + transfer;
+void
+BankModel::addCommands(ChannelStats &stats) const
+{
+    stats.rowHits += hits;
+    stats.rowMisses += misses;
+    stats.rowConflicts += conflicts;
+    stats.activates += misses + conflicts;
+    stats.precharges +=
+        conflicts + (closedPolicy ? hits + misses + conflicts : 0);
+    stats.refreshes += refreshes;
 }
 
 } // namespace autopilot::dram

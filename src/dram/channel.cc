@@ -1,7 +1,8 @@
 #include "dram/channel.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.h"
 
@@ -34,107 +35,106 @@ lcgUniform(std::uint64_t state)
 /// accumulating an ever-growing queue.
 constexpr double kSourceFifoBursts = 8.0;
 
+/// @p spec's timing, or fatal with the diagnosis when a channel
+/// @p bytesPerCycle wide cannot simulate it.
+const DramTiming &
+simulableTiming(const DramSpec &spec, std::int64_t bytesPerCycle)
+{
+    const std::string reason = spec.infeasibleReasonAt(bytesPerCycle);
+    util::fatalIf(!reason.empty(), "ChannelTimeline: " + reason);
+    return spec.timing;
+}
+
 } // namespace
 
 ChannelTimeline::ChannelTimeline(const DramSpec &spec,
                                  const systolic::AcceleratorConfig &config)
-    : spec_(spec), bytesPerCycle(config.dramBytesPerCycle),
-      banks(spec.timing)
+    : banks(simulableTiming(spec, config.dramBytesPerCycle)),
+      bytesPerCycle(config.dramBytesPerCycle),
+      burstBytes(spec.timing.burstBytes),
+      burstCycles((burstBytes + bytesPerCycle - 1) / bytesPerCycle),
+      burstStep(banks.locate(burstBytes)),
+      npuWrite(banks.locate(std::int64_t{1} << 28))
 {
-    spec_.validate();
-    util::fatalIf(bytesPerCycle <= 0,
-                  "ChannelTimeline: dramBytesPerCycle must be >= 1");
-
-    // The config-dependent half of the degenerate-parameter diagnosis:
-    // a refresh interval that cannot cover even one worst-case burst at
-    // this channel width means the channel refreshes forever instead of
-    // transferring - diagnose it, never simulate it.
-    const DramTiming &t = spec_.timing;
-    const std::int64_t worstBurst =
-        t.tRpCycles + t.tRcdCycles + t.tCasCycles +
-        (t.burstBytes + bytesPerCycle - 1) / bytesPerCycle;
-    if (t.tRefiCycles <= t.tRfcCycles + worstBurst) {
-        std::ostringstream what;
-        what << "ChannelTimeline: refresh interval tREFI ("
-             << t.tRefiCycles
-             << " cycles) is no longer than one refresh stall plus one "
-                "worst-case burst ("
-             << t.tRfcCycles << " + " << worstBurst
-             << " cycles) - the channel can never make progress between "
-                "refreshes; raise tREFI or shrink the burst";
-        util::fatal(what.str());
-    }
-
     const double cyclesPerSec = config.clockGhz * 1e9;
-    for (const TrafficGeneratorSpec &generator : spec_.generators) {
-        if (generator.bytesPerSec <= 0.0)
+    for (const TrafficGeneratorSpec &source : spec.generators) {
+        if (source.bytesPerSec <= 0.0)
             continue; // Inert stream: injects nothing.
-        GeneratorState state;
-        state.spec = generator;
-        state.interArrivalCycles =
-            static_cast<double>(spec_.timing.burstBytes) * cyclesPerSec /
-            generator.bytesPerSec;
-        state.nextArrival = state.interArrivalCycles;
-        state.rng = generator.seed;
-        state.statsIndex = stats_.generators.size();
-        stats_.generators.push_back({generator.name, 0, 0});
-        generators.push_back(std::move(state));
+        Generator gen;
+        gen.name = source.name;
+        gen.interArrivalCycles = static_cast<double>(burstBytes) *
+                                 cyclesPerSec / source.bytesPerSec;
+        gen.fifoSlack = kSourceFifoBursts * gen.interArrivalCycles;
+        gen.nextArrival = gen.interArrivalCycles;
+        gen.randomness = source.randomness;
+        gen.rng = source.seed;
+        gen.slots =
+            static_cast<std::uint64_t>(source.addressRange / burstBytes);
+        if (std::has_single_bit(gen.slots))
+            gen.slotMask = gen.slots - 1;
+        gen.base = source.addressBase;
+        gen.range = source.addressRange;
+        gen.stride = source.strideBytes % source.addressRange;
+        gen.at = banks.locate(gen.base);
+        gen.strideStep = banks.locate(gen.stride);
+        gen.rangeStep = banks.locate(gen.range);
+        generators.push_back(std::move(gen));
     }
-}
-
-ChannelTimeline::GeneratorState *
-ChannelTimeline::earliestGenerator()
-{
-    GeneratorState *best = nullptr;
-    for (GeneratorState &candidate : generators) {
-        if (best == nullptr || candidate.nextArrival < best->nextArrival)
-            best = &candidate;
-    }
-    return best;
 }
 
 void
-ChannelTimeline::serviceGenerator(GeneratorState &generator)
+ChannelTimeline::serviceBackground(double npuArrival)
 {
-    const TrafficGeneratorSpec &gen = generator.spec;
-    const std::int64_t burst = spec_.timing.burstBytes;
-
-    if (gen.randomness > 0.0) {
-        generator.rng = lcgNext(generator.rng);
-        if (lcgUniform(generator.rng) < gen.randomness) {
-            // Jump to a random burst-aligned slot; the stream then
-            // continues linearly from there until the next jump.
-            generator.rng = lcgNext(generator.rng);
-            const std::uint64_t slots = static_cast<std::uint64_t>(
-                gen.addressRange / burst);
-            generator.offset = static_cast<std::int64_t>(
-                (generator.rng >> 11) % slots) * burst;
+    std::int64_t free = channelFree;
+    for (;;) {
+        Generator *front = nullptr;
+        for (Generator &candidate : generators) {
+            if (front == nullptr ||
+                candidate.nextArrival < front->nextArrival)
+                front = &candidate;
         }
+        if (front == nullptr || front->nextArrival > npuArrival)
+            break;
+        Generator &gen = *front;
+
+        if (gen.randomness > 0.0) {
+            gen.rng = lcgNext(gen.rng);
+            if (lcgUniform(gen.rng) < gen.randomness) {
+                // Jump to a random burst-aligned slot; the stream then
+                // continues linearly from there until the next jump.
+                gen.rng = lcgNext(gen.rng);
+                const std::uint64_t draw = gen.rng >> 11;
+                const std::uint64_t slot = gen.slotMask != 0
+                                               ? draw & gen.slotMask
+                                               : draw % gen.slots;
+                gen.offset = static_cast<std::int64_t>(slot) * burstBytes;
+                gen.at = banks.locate(gen.base + gen.offset);
+            }
+        }
+
+        const std::int64_t arrival =
+            static_cast<std::int64_t>(std::ceil(gen.nextArrival));
+        free = banks.service(gen.at, burstCycles, std::max(free, arrival));
+
+        // Linear walk, wrapping at the end of the window.
+        gen.offset += gen.stride;
+        banks.advance(gen.at, gen.strideStep);
+        if (gen.offset >= gen.range) {
+            gen.offset -= gen.range;
+            banks.retreat(gen.at, gen.rangeStep);
+        }
+
+        gen.nextArrival += gen.interArrivalCycles;
+        // Backpressure: the source cannot run more than one FIFO's
+        // worth of bursts behind the channel. A saturated stream is
+        // throttled to its service rate; an unsaturated one never hits
+        // the floor.
+        const double fifoFloor = static_cast<double>(free) - gen.fifoSlack;
+        if (gen.nextArrival < fifoFloor)
+            gen.nextArrival = fifoFloor;
+        ++gen.requests;
     }
-    const std::int64_t addr =
-        gen.addressBase + generator.offset % gen.addressRange;
-    generator.offset += gen.strideBytes;
-
-    const std::int64_t arrival = static_cast<std::int64_t>(
-        std::ceil(generator.nextArrival));
-    const std::int64_t start = std::max(channelFree, arrival);
-    channelFree = banks.service(addr, burst, start, bytesPerCycle,
-                                stats_);
-    generator.nextArrival += generator.interArrivalCycles;
-    // Backpressure: the source cannot run more than one FIFO's worth of
-    // bursts behind the channel. A saturated stream is throttled to its
-    // service rate; an unsaturated one never hits the floor.
-    const double fifoFloor =
-        static_cast<double>(channelFree) -
-        kSourceFifoBursts * generator.interArrivalCycles;
-    if (generator.nextArrival < fifoFloor)
-        generator.nextArrival = fifoFloor;
-
-    ++stats_.backgroundRequests;
-    stats_.backgroundBytes += burst;
-    GeneratorStats &slice = stats_.generators[generator.statsIndex];
-    ++slice.requests;
-    slice.bytes += burst;
+    channelFree = free;
 }
 
 std::int64_t
@@ -144,34 +144,56 @@ ChannelTimeline::transfer(std::int64_t earliestStart, std::int64_t bytes,
     if (bytes <= 0)
         return earliestStart;
 
+    // Strict arrival order: background requests that arrived no later
+    // than this transfer go first (fixed priority on ties). Servicing a
+    // request only moves its own stream's next arrival later, so once
+    // this run ends no background request can overtake the rest of the
+    // transfer's bursts.
+    serviceBackground(static_cast<double>(earliestStart));
+
+    // A linear walk, back to back: after the first burst in a row the
+    // rest of that row are hits, served as one run.
+    BankCursor &npu = write ? npuWrite : npuRead;
+    BankCursor at = npu;
+    std::int64_t free = std::max(channelFree, earliestStart);
     std::int64_t remaining = bytes;
-    std::int64_t done = earliestStart;
-    std::int64_t &npuAddr = write ? npuWriteAddr : npuReadAddr;
-    const std::int64_t burstBytes = spec_.timing.burstBytes;
-    const double npuArrival = static_cast<double>(earliestStart);
-
-    while (remaining > 0) {
-        // Strict arrival order: background requests that arrived no
-        // later than this transfer go first (fixed priority on ties).
-        // Each service advances that generator's next arrival, so the
-        // backlog drains in bounded steps and the NPU never starves.
-        GeneratorState *front = earliestGenerator();
-        if (front != nullptr && front->nextArrival <= npuArrival) {
-            serviceGenerator(*front);
-            continue;
-        }
-
-        const std::int64_t burst = std::min(remaining, burstBytes);
-        const std::int64_t start = std::max(channelFree, earliestStart);
-        done = banks.service(npuAddr, burst, start, bytesPerCycle,
-                             stats_);
-        channelFree = done;
-        npuAddr += burst;
-        remaining -= burst;
-        ++stats_.npuRequests;
-        stats_.npuBytes += burst;
+    std::int64_t requests = 0;
+    while (remaining >= burstBytes) {
+        free = banks.service(at, burstCycles, free);
+        banks.advance(at, burstStep);
+        remaining -= burstBytes;
+        requests +=
+            1 + banks.hitRun(at, burstBytes, burstCycles, remaining, free);
     }
-    return done;
+    if (remaining > 0) {
+        // The short tail burst: its transfer cycles are the only ones
+        // not hoisted.
+        free = banks.service(
+            at, (remaining + bytesPerCycle - 1) / bytesPerCycle, free);
+        banks.advance(at, BankCursor{remaining, 0, 0});
+        ++requests;
+    }
+    npu = at;
+    npuRequests += requests;
+    npuBytes += bytes;
+    channelFree = free;
+    return free;
+}
+
+ChannelStats
+ChannelTimeline::stats() const
+{
+    ChannelStats stats;
+    banks.addCommands(stats);
+    stats.npuRequests = npuRequests;
+    stats.npuBytes = npuBytes;
+    for (const Generator &gen : generators) {
+        const std::int64_t bytes = gen.requests * burstBytes;
+        stats.generators.push_back({gen.name, gen.requests, bytes});
+        stats.backgroundRequests += gen.requests;
+        stats.backgroundBytes += bytes;
+    }
+    return stats;
 }
 
 } // namespace autopilot::dram

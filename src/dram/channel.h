@@ -17,6 +17,26 @@
  * instead of accumulating an unbounded backlog, so an overloaded spec
  * costs simulated cycles, never unbounded simulation work.
  *
+ * A layer simulates millions of bursts, so the per-burst path does no
+ * integer division:
+ *  - every linear stream (the NPU read and write walks, each generator
+ *    between random jumps) carries a BankCursor and advances it by its
+ *    stride with compare-and-carry; a generator's wrap at the end of its
+ *    window is a compare-and-subtract. Only a random jump decomposes an
+ *    address from scratch, drawing the same LCG values in the same
+ *    order;
+ *  - the full-burst transfer cycles, each generator's FIFO slack and
+ *    its jump slot count are computed once per timeline;
+ *  - the run of background bursts ahead of an NPU transfer is serviced
+ *    in one loop. nextArrival stays a double, rounded with std::ceil
+ *    and FIFO-floored as the stepped model does, so arrival cycles are
+ *    the same;
+ *  - an NPU transfer's bursts are back to back on one linear walk, so
+ *    after the first burst in a row the rest of that row are hits until
+ *    the next refresh, served as one BankModel::hitRun.
+ * tests/oracle/dram_channel.h keeps the stepped, address-dividing
+ * model; a differential test holds this one to it exactly.
+ *
  * Everything is integer/fixed-seed arithmetic on one thread; two
  * timelines built from the same spec and fed the same transfer sequence
  * produce bit-identical completions and stats, which is what makes the
@@ -27,6 +47,8 @@
 #define AUTOPILOT_DRAM_CHANNEL_H
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "dram/bank_model.h"
 #include "dram/config.h"
@@ -43,9 +65,10 @@ class ChannelTimeline
      * @param spec   Validated channel description (enabled or not).
      * @param config Accelerator configuration; supplies the channel
      *               width (dramBytesPerCycle) and the NPU clock that
-     *               converts generator bytes/s into cycles. Fatal when
-     *               the refresh interval cannot even cover one burst at
-     *               this width (the channel would never make progress).
+     *               converts generator bytes/s into cycles. Fatal with
+     *               DramSpec::infeasibleReasonAt() when the refresh
+     *               interval cannot even cover one burst at this width
+     *               (the channel would never make progress).
      */
     ChannelTimeline(const DramSpec &spec,
                     const systolic::AcceleratorConfig &config);
@@ -59,37 +82,48 @@ class ChannelTimeline
     std::int64_t transfer(std::int64_t earliestStart, std::int64_t bytes,
                           bool write);
 
-    const ChannelStats &stats() const { return stats_; }
+    /** Command and traffic counters so far. */
+    ChannelStats stats() const;
 
   private:
-    struct GeneratorState
+    /// One background stream: arrival clock, address walk, counters.
+    struct Generator
     {
-        TrafficGeneratorSpec spec;
+        std::string name;
         double interArrivalCycles = 0.0;
+        double fifoSlack = 0.0; ///< FIFO depth in cycles.
         double nextArrival = 0.0;
-        std::int64_t offset = 0; ///< Linear walk position in the window.
+        double randomness = 0.0;
         std::uint64_t rng = 0;
-        std::size_t statsIndex = 0;
+        std::uint64_t slots = 0;  ///< Burst-aligned jump targets.
+        std::uint64_t slotMask = 0; ///< slots - 1 when slots is 2^k.
+        std::int64_t base = 0;    ///< Window start address.
+        std::int64_t range = 0;   ///< Window size.
+        std::int64_t stride = 0;  ///< Stride reduced modulo range.
+        std::int64_t offset = 0;  ///< Walk position in [0, range).
+        BankCursor at;            ///< Location of base + offset.
+        BankCursor strideStep;    ///< locate(stride).
+        BankCursor rangeStep;     ///< locate(range).
+        std::int64_t requests = 0;
     };
 
-    /// Service @p generator's front request; advances channel and
-    /// arrival state.
-    void serviceGenerator(GeneratorState &generator);
+    /// Service, in arrival order, every background request that
+    /// arrived no later than @p npuArrival.
+    void serviceBackground(double npuArrival);
 
-    /// The generator whose front request arrived earliest (ties by spec
-    /// order), or null when no generator is active.
-    GeneratorState *earliestGenerator();
-
-    DramSpec spec_;
+    BankModel banks; ///< First: built only from a simulable spec.
     std::int64_t bytesPerCycle;
-    BankModel banks;
+    std::int64_t burstBytes;
+    std::int64_t burstCycles; ///< ceil(burstBytes / bytesPerCycle).
+    BankCursor burstStep;     ///< locate(burstBytes).
     std::int64_t channelFree = 0;
-    /// NPU stream walk positions: reads from the model/weight region,
-    /// writes to a disjoint output region.
-    std::int64_t npuReadAddr = 0;
-    std::int64_t npuWriteAddr = 1ll << 28;
-    std::vector<GeneratorState> generators;
-    ChannelStats stats_;
+    /// NPU stream walk positions: reads from the model/weight region
+    /// (address 0 up), writes to a disjoint output region (2^28 up).
+    BankCursor npuRead;
+    BankCursor npuWrite;
+    std::int64_t npuRequests = 0;
+    std::int64_t npuBytes = 0;
+    std::vector<Generator> generators;
 };
 
 } // namespace autopilot::dram

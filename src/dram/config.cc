@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -86,9 +88,19 @@ DramSpec::infeasibleReason() const
              << ") - a channel with no banks has nowhere to put a row";
         return what.str();
     }
+    if (timing.banks > kMaxBanks) {
+        what << "bank count " << timing.banks << " exceeds " << kMaxBanks
+             << " - no DRAM channel has that many banks";
+        return what.str();
+    }
     if (timing.rowBytes <= 0 || timing.burstBytes <= 0) {
         what << "row size (" << timing.rowBytes << " B) and burst size ("
              << timing.burstBytes << " B) must be positive";
+        return what.str();
+    }
+    if (timing.rowBytes > kMaxRowBytes) {
+        what << "row size " << timing.rowBytes << " B exceeds "
+             << kMaxRowBytes << " B - no DRAM page is that large";
         return what.str();
     }
     if (timing.burstBytes > timing.rowBytes) {
@@ -105,6 +117,21 @@ DramSpec::infeasibleReason() const
              << " cycles) - zero-latency commands collapse the row "
                 "hit/miss/conflict distinction the model exists for";
         return what.str();
+    }
+    const std::pair<const char *, std::int64_t> cycleFields[] = {
+        {"tCAS", timing.tCasCycles},   {"tRCD", timing.tRcdCycles},
+        {"tRP", timing.tRpCycles},     {"tREFI", timing.tRefiCycles},
+        {"tRFC", timing.tRfcCycles},
+    };
+    for (const auto &[field, cycles] : cycleFields) {
+        if (cycles > kMaxTimingCycles) {
+            what << "timing field " << field << " (" << cycles
+                 << " cycles) exceeds " << kMaxTimingCycles
+                 << " cycles - longer than a DRAM's whole retention "
+                    "window, and large enough to overflow the "
+                    "channel's cycle arithmetic";
+            return what.str();
+        }
     }
     if (timing.tRefiCycles <= 0 || timing.tRfcCycles < 0) {
         what << "refresh interval tREFI (" << timing.tRefiCycles
@@ -144,12 +171,45 @@ DramSpec::infeasibleReason() const
             return what.str();
         }
         if (generator.addressBase < 0 ||
-            generator.addressRange < timing.burstBytes) {
+            generator.addressRange < timing.burstBytes ||
+            generator.addressRange >
+                std::numeric_limits<std::int64_t>::max() -
+                    generator.addressBase) {
             what << "traffic generator '" << generator.name
-                 << "' address window must be non-negative and at "
-                    "least one burst wide";
+                 << "' address window must be non-negative, at least "
+                    "one burst wide and inside the 64-bit address space";
             return what.str();
         }
+    }
+    return {};
+}
+
+std::string
+DramSpec::infeasibleReasonAt(std::int64_t bytesPerCycle) const
+{
+    std::string reason = infeasibleReason();
+    if (!reason.empty())
+        return reason;
+    std::ostringstream what;
+    if (bytesPerCycle <= 0) {
+        what << "channel width must be >= 1 byte per cycle (got "
+             << bytesPerCycle << ")";
+        return what.str();
+    }
+    // Every term is bounded by kMaxTimingCycles or by the burst size,
+    // so the sum cannot overflow.
+    const std::int64_t worstBurst =
+        timing.tRpCycles + timing.tRcdCycles + timing.tCasCycles +
+        (timing.burstBytes + bytesPerCycle - 1) / bytesPerCycle;
+    if (timing.tRefiCycles <= timing.tRfcCycles + worstBurst) {
+        what << "refresh interval tREFI (" << timing.tRefiCycles
+             << " cycles) is no longer than one refresh stall plus one "
+                "worst-case burst ("
+             << timing.tRfcCycles << " + " << worstBurst
+             << " cycles at " << bytesPerCycle
+             << " B/cycle) - the channel can never make progress "
+                "between refreshes; raise tREFI or shrink the burst";
+        return what.str();
     }
     return {};
 }

@@ -33,6 +33,21 @@ enum class RowPolicy
     Closed, ///< Auto-precharge after every access (no hits, no conflicts).
 };
 
+/// Upper bound on DramTiming::banks: real parts have 8-64 banks, and
+/// the bound keeps a channel's per-bank row registers small.
+constexpr int kMaxBanks = 1024;
+
+/// Upper bound on DramTiming::rowBytes (1 MiB; real pages are 1-16
+/// KiB). It bounds the burst size, so a burst's transfer cycles stay
+/// as small as the command latencies below.
+constexpr std::int64_t kMaxRowBytes = std::int64_t{1} << 20;
+
+/// Upper bound on every DramTiming cycle field (2^24 cycles, 84 ms at
+/// the 200 MHz default clock - longer than a DRAM's whole 64 ms
+/// retention window). With it, no sum of command latencies, refresh
+/// deadline or completion cycle the channel computes can overflow.
+constexpr std::int64_t kMaxTimingCycles = std::int64_t{1} << 24;
+
 /** Stable lowercase label ("open", "closed"). */
 std::string rowPolicyName(RowPolicy policy);
 
@@ -113,15 +128,26 @@ struct DramSpec
     double backgroundBytesPerSec() const;
 
     /**
-     * Human-readable diagnosis of a degenerate parameter set (zero
-     * banks, non-positive row/burst sizes or command latencies, a
+     * Human-readable diagnosis of a degenerate parameter set (zero or
+     * more than kMaxBanks banks, non-positive row/burst sizes, a row
+     * above kMaxRowBytes, non-positive command latencies, a cycle
+     * field above kMaxTimingCycles, a
      * refresh interval that never leaves the refresh stall, generator
      * rates/randomness out of range, ...). Empty when the spec is
-     * simulable. The PR-8 infeasibleReason pattern: degenerate inputs
-     * are diagnosed in words, never simulated into NaN or infinite
-     * latency.
+     * simulable at some channel width. Degenerate inputs are
+     * diagnosed in words, never simulated into NaN, infinite latency
+     * or integer overflow.
      */
     std::string infeasibleReason() const;
+
+    /**
+     * infeasibleReason() plus the width-dependent half: a refresh
+     * interval that cannot cover one refresh stall and one worst-case
+     * burst (tRP + tRCD + tCAS + ceil(burst / @p bytesPerCycle)) means
+     * the channel refreshes forever instead of transferring. Empty
+     * when a channel @p bytesPerCycle wide can simulate the spec.
+     */
+    std::string infeasibleReasonAt(std::int64_t bytesPerCycle) const;
 
     /** Abort via util::fatal(infeasibleReason()) when degenerate. */
     void validate() const;

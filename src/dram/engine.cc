@@ -1,5 +1,6 @@
 #include "dram/engine.h"
 
+#include "util/logging.h"
 #include "util/telemetry.h"
 
 namespace autopilot::dram
@@ -15,7 +16,9 @@ DramCycleEngine::DramCycleEngine(const systolic::AcceleratorConfig &config,
         // Surface config-dependent degeneracies (refresh interval vs
         // burst time at this channel width) at construction, not in the
         // middle of a batch.
-        ChannelTimeline probe(dramSpec, cfg);
+        const std::string reason =
+            dramSpec.infeasibleReasonAt(cfg.dramBytesPerCycle);
+        util::fatalIf(!reason.empty(), "DramCycleEngine: " + reason);
     }
 }
 

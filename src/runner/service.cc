@@ -328,6 +328,18 @@ applyTaskKeys(const std::map<std::string, io::JsonValue> &keys,
             error = "infeasible dram channel: " + reason;
             return false;
         }
+        // The width-dependent half (refresh interval vs one worst-case
+        // burst) depends only on the timing, at the width every design
+        // point is costed at (DesignSpace::decode keeps the default
+        // dramBytesPerCycle). Checked here, a bad "dram_timing" is a
+        // rejected submission instead of a fatal mid-campaign.
+        const std::string refresh = spec.dram.infeasibleReasonAt(
+            systolic::AcceleratorConfig{}.dramBytesPerCycle);
+        if (!refresh.empty()) {
+            badKey = "dram_timing";
+            error = "infeasible dram channel: " + refresh;
+            return false;
+        }
     }
     spec.contention.cameraBytesPerSec = cameraBps;
     spec.contention.hostBytesPerSec = hostBps;

@@ -73,6 +73,19 @@ panicIf(bool condition, const std::string &msg)
 }
 
 /**
+ * panicIf() for a literal message. The std::string overload would build
+ * the message - a heap allocation once it outgrows the small-string
+ * buffer - on every call, fired or not; this one builds it only when
+ * the invariant fails, so a hot-path check costs one branch.
+ */
+inline void
+panicIf(bool condition, const char *msg)
+{
+    if (condition)
+        panic(msg);
+}
+
+/**
  * Exit via fatal() if a user-facing precondition does not hold.
  *
  * @param condition Error condition; true means the input is invalid.
@@ -80,6 +93,14 @@ panicIf(bool condition, const std::string &msg)
  */
 inline void
 fatalIf(bool condition, const std::string &msg)
+{
+    if (condition)
+        fatal(msg);
+}
+
+/** fatalIf() for a literal message; see panicIf(bool, const char *). */
+inline void
+fatalIf(bool condition, const char *msg)
 {
     if (condition)
         fatal(msg);

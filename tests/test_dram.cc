@@ -9,6 +9,10 @@
  *    stream deterministically; locality properties hold (linear streams
  *    hit rows, random streams conflict, latency is monotone in both
  *    randomness and background load).
+ *  - ChannelDifferential: the cursor channel equals the stepped,
+ *    address-dividing oracle (tests/oracle/dram_channel.h) in every
+ *    completion cycle and every ChannelStats field, over random specs
+ *    and transfer trains and through the fold timeline.
  *  - DramCycleEngine with an empty generator set is bit-identical to
  *    systolic::CycleEngine - the sidecar backward-compatibility
  *    contract - and slows down under background traffic.
@@ -18,11 +22,13 @@
  *    top - the double-charging fix), and stays byte-identical across
  *    worker-thread counts, alone and as the tiered verify tier.
  *  - Degenerate parameter sets are diagnosed in words (fatal with
- *    infeasibleReason), never simulated into NaN or infinite latency.
+ *    infeasibleReason), never simulated into NaN, infinite latency or
+ *    integer overflow.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -36,6 +42,7 @@
 #include "dse/eval_backend.h"
 #include "dse/evaluator.h"
 #include "nn/e2e_template.h"
+#include "oracle/dram_channel.h"
 #include "power/dram_model.h"
 #include "systolic/cycle_engine.h"
 #include "util/rng.h"
@@ -104,6 +111,15 @@ distinctEncodings(std::size_t count, std::uint64_t seed)
     return out;
 }
 
+/** The command counters @p banks has accumulated so far. */
+dram::ChannelStats
+commands(const dram::BankModel &banks)
+{
+    dram::ChannelStats stats;
+    banks.addCommands(stats);
+    return stats;
+}
+
 /** One-generator spec over the lab timing. */
 dram::DramSpec
 oneStreamSpec(double bytesPerSec, double randomness,
@@ -128,20 +144,18 @@ TEST(BankModel, ClassifiesHitMissConflictWithCommandTiming)
 {
     const dram::DramTiming timing = labTiming();
     dram::BankModel banks(timing);
-    dram::ChannelStats stats;
-    const std::int64_t bpc = 32; // 64-byte burst -> 2 transfer cycles.
-    const std::int64_t transfer = timing.burstBytes / bpc;
+    const std::int64_t transfer = 2; // 64-byte burst at 32 B/cycle.
 
     // Cold bank: miss = tRCD + tCAS (+ activate).
-    std::int64_t done =
-        banks.service(0, timing.burstBytes, 0, bpc, stats);
+    std::int64_t done = banks.service(banks.locate(0), transfer, 0);
+    dram::ChannelStats stats = commands(banks);
     EXPECT_EQ(done, timing.tRcdCycles + timing.tCasCycles + transfer);
     EXPECT_EQ(stats.rowMisses, 1);
     EXPECT_EQ(stats.activates, 1);
 
     // Same row, next column: hit = tCAS only.
-    done = banks.service(timing.burstBytes, timing.burstBytes, done, bpc,
-                         stats);
+    done = banks.service(banks.locate(timing.burstBytes), transfer, done);
+    stats = commands(banks);
     EXPECT_EQ(stats.rowHits, 1);
     EXPECT_EQ(stats.precharges, 0);
 
@@ -149,7 +163,8 @@ TEST(BankModel, ClassifiesHitMissConflictWithCommandTiming)
     const std::int64_t otherRow =
         timing.rowBytes * timing.banks; // row 1, bank 0.
     const std::int64_t start = done;
-    done = banks.service(otherRow, timing.burstBytes, start, bpc, stats);
+    done = banks.service(banks.locate(otherRow), transfer, start);
+    stats = commands(banks);
     EXPECT_EQ(done, start + timing.tRpCycles + timing.tRcdCycles +
                         timing.tCasCycles + transfer);
     EXPECT_EQ(stats.rowConflicts, 1);
@@ -164,12 +179,11 @@ TEST(BankModel, ClosedPolicyNeverHitsOrConflicts)
     dram::DramTiming timing = labTiming();
     timing.rowPolicy = dram::RowPolicy::Closed;
     dram::BankModel banks(timing);
-    dram::ChannelStats stats;
     std::int64_t cycle = 0;
-    for (int i = 0; i < 16; ++i) {
-        cycle = banks.service(i * timing.burstBytes, timing.burstBytes,
-                              cycle, 32, stats);
-    }
+    for (int i = 0; i < 16; ++i)
+        cycle =
+            banks.service(banks.locate(i * timing.burstBytes), 2, cycle);
+    const dram::ChannelStats stats = commands(banks);
     EXPECT_EQ(stats.rowMisses, 16);
     EXPECT_EQ(stats.rowHits, 0);
     EXPECT_EQ(stats.rowConflicts, 0);
@@ -182,18 +196,16 @@ TEST(BankModel, RefreshClosesRowsAndStallsTheChannel)
     timing.tRefiCycles = 50;
     timing.tRfcCycles = 20;
     dram::BankModel banks(timing);
-    dram::ChannelStats stats;
 
-    const std::int64_t first =
-        banks.service(0, timing.burstBytes, 0, 32, stats);
-    EXPECT_EQ(stats.rowMisses, 1);
+    const std::int64_t first = banks.service(banks.locate(0), 2, 0);
+    EXPECT_EQ(commands(banks).rowMisses, 1);
 
     // Next access lands past tREFI: one refresh is paid, the row it
     // opened is closed again, and the access starts no earlier than the
     // refresh stall's end - so it re-misses instead of hitting.
     const std::int64_t afterRefresh =
-        banks.service(0, timing.burstBytes, timing.tRefiCycles, 32,
-                      stats);
+        banks.service(banks.locate(0), 2, timing.tRefiCycles);
+    const dram::ChannelStats stats = commands(banks);
     EXPECT_EQ(stats.refreshes, 1);
     EXPECT_EQ(stats.rowMisses, 2);
     EXPECT_EQ(stats.rowHits, 0);
@@ -317,6 +329,57 @@ TEST(DramConfig, InfeasibleReasonDiagnosesDegenerateParameters)
     spec.generators[0].name = "Bad Name!";
     EXPECT_NE(spec.infeasibleReason().find("name"), std::string::npos)
         << spec.infeasibleReason();
+
+    // Unbounded integers are diagnosed before they can size a per-bank
+    // vector or overflow the channel's cycle arithmetic.
+    spec = oneStreamSpec(1.0e9, 0.0);
+    spec.timing.banks = 2000000000;
+    EXPECT_NE(spec.infeasibleReason().find("bank count"),
+              std::string::npos)
+        << spec.infeasibleReason();
+    spec.timing.banks = dram::kMaxBanks;
+    EXPECT_EQ(spec.infeasibleReason(), "");
+
+    spec = oneStreamSpec(1.0e9, 0.0);
+    spec.timing.rowBytes = dram::kMaxRowBytes + 1;
+    EXPECT_NE(spec.infeasibleReason().find("row size"), std::string::npos)
+        << spec.infeasibleReason();
+
+    std::string error;
+    spec = oneStreamSpec(1.0e9, 0.0);
+    ASSERT_TRUE(dram::parseDramTiming("9223372036854775807:4:4",
+                                      spec.timing, error));
+    EXPECT_NE(spec.infeasibleReason().find("tCAS"), std::string::npos)
+        << spec.infeasibleReason();
+    spec = oneStreamSpec(1.0e9, 0.0);
+    ASSERT_TRUE(dram::parseDramTiming("4:4:4:9223372036854775807:36",
+                                      spec.timing, error));
+    EXPECT_NE(spec.infeasibleReason().find("tREFI"), std::string::npos)
+        << spec.infeasibleReason();
+    spec = oneStreamSpec(1.0e9, 0.0);
+    spec.timing.tRcdCycles = dram::kMaxTimingCycles;
+    spec.timing.tRefiCycles = dram::kMaxTimingCycles;
+    EXPECT_EQ(spec.infeasibleReason(), ""); // The bound itself is fine.
+    spec.timing.tRcdCycles = dram::kMaxTimingCycles + 1;
+    EXPECT_NE(spec.infeasibleReason().find("tRCD"), std::string::npos)
+        << spec.infeasibleReason();
+
+    spec = oneStreamSpec(1.0e9, 0.0);
+    spec.generators[0].addressBase = std::int64_t{1} << 62;
+    spec.generators[0].addressRange = std::int64_t{1} << 62;
+    EXPECT_NE(spec.infeasibleReason().find("address"), std::string::npos)
+        << spec.infeasibleReason();
+
+    // The width-dependent half: 600-cycle commands cannot fit between
+    // two refreshes of the default 1560-cycle interval at any width.
+    spec = oneStreamSpec(1.0e9, 0.0, dram::DramTiming{});
+    ASSERT_TRUE(dram::parseDramTiming("600:600:600", spec.timing, error));
+    EXPECT_EQ(spec.infeasibleReason(), "");
+    EXPECT_NE(spec.infeasibleReasonAt(32).find("refresh"),
+              std::string::npos)
+        << spec.infeasibleReasonAt(32);
+    EXPECT_NE(spec.infeasibleReasonAt(0).find("width"), std::string::npos);
+    EXPECT_EQ(oneStreamSpec(1.0e9, 0.0).infeasibleReasonAt(32), "");
 }
 
 TEST(DramConfigDeath, ValidateIsFatalWithTheDiagnosis)
@@ -435,6 +498,149 @@ TEST(ChannelTimeline, RebuildReplaysBitIdentically)
     EXPECT_EQ(aStats.rowHits, bStats.rowHits);
     EXPECT_EQ(aStats.rowConflicts, bStats.rowConflicts);
     EXPECT_EQ(aStats.backgroundBytes, bStats.backgroundBytes);
+}
+
+// ------------------------------------------------- oracle differential ----
+
+namespace
+{
+
+/** A random simulable spec: any bank count and row size, both row
+ *  policies, randomness 0..1, loads from idle to well past saturation,
+ *  and (one time in three) a refresh interval barely past one stall
+ *  plus one worst-case burst. */
+dram::DramSpec
+randomSpec(util::Rng &rng, const sys::AcceleratorConfig &accel)
+{
+    dram::DramSpec spec;
+    dram::DramTiming &t = spec.timing;
+    t.banks = rng.uniformInt(1, 13);
+    t.burstBytes = rng.bernoulli(0.3) ? 64 : rng.uniformInt(8, 160);
+    t.rowBytes = rng.bernoulli(0.3)
+                     ? 2048
+                     : t.burstBytes + rng.uniformInt(0, 3000);
+    t.tCasCycles = rng.uniformInt(1, 12);
+    t.tRcdCycles = rng.uniformInt(1, 12);
+    t.tRpCycles = rng.uniformInt(1, 12);
+    t.tRfcCycles = rng.uniformInt(0, 60);
+    const std::int64_t worstBurst =
+        t.tRpCycles + t.tRcdCycles + t.tCasCycles +
+        (t.burstBytes + accel.dramBytesPerCycle - 1) /
+            accel.dramBytesPerCycle;
+    t.tRefiCycles = t.tRfcCycles + worstBurst +
+                    (rng.bernoulli(1.0 / 3.0) ? rng.uniformInt(1, 8)
+                                              : rng.uniformInt(1, 4000));
+    t.rowPolicy = rng.bernoulli(0.5) ? dram::RowPolicy::Open
+                                     : dram::RowPolicy::Closed;
+
+    const double peakBytesPerSec =
+        static_cast<double>(accel.dramBytesPerCycle) * accel.clockGhz *
+        1e9;
+    const int streams = rng.uniformInt(0, 3);
+    for (int g = 0; g < streams; ++g) {
+        dram::TrafficGeneratorSpec gen;
+        gen.name = "g" + std::to_string(g);
+        // Idle (inert) now and then; otherwise up to 3x the channel.
+        gen.bytesPerSec = rng.bernoulli(0.1)
+                              ? 0.0
+                              : rng.uniform(0.02, 3.0) * peakBytesPerSec;
+        const int pattern = rng.uniformInt(0, 2);
+        gen.randomness = pattern == 0   ? 0.0
+                         : pattern == 1 ? 1.0
+                                        : rng.uniform();
+        gen.strideBytes = rng.bernoulli(0.5)
+                              ? t.burstBytes
+                              : rng.uniformInt(1, 3 * static_cast<int>(
+                                                      t.rowBytes));
+        gen.seed = rng.next64();
+        gen.addressBase = rng.uniformInt(0, 1 << 30);
+        // Small windows wrap often; large ones span many rows.
+        gen.addressRange =
+            rng.bernoulli(0.5)
+                ? t.burstBytes + rng.uniformInt(0, 4 * static_cast<int>(
+                                                       t.rowBytes))
+                : rng.uniformInt(1 << 16, 1 << 26);
+        if (rng.bernoulli(0.2))
+            gen.strideBytes = gen.addressRange + rng.uniformInt(1, 999);
+        gen.write = rng.bernoulli(0.5);
+        spec.generators.push_back(gen);
+    }
+    return spec;
+}
+
+} // namespace
+
+TEST(ChannelDifferential, CursorChannelMatchesSteppedOracleExactly)
+{
+    // The production channel against the stepped, address-dividing
+    // oracle it replaced: random specs, random transfer trains (gaps,
+    // out-of-order starts, zero and partial-burst sizes). Every
+    // completion cycle and every ChannelStats field must be equal.
+    util::Rng rng(0xD1FFull);
+    int busy = 0;
+    for (int trial = 0; trial < 160; ++trial) {
+        sys::AcceleratorConfig accel;
+        accel.dramBytesPerCycle = rng.uniformInt(1, 64);
+        accel.clockGhz = rng.uniform(0.1, 1.0);
+        const dram::DramSpec spec = randomSpec(rng, accel);
+        ASSERT_EQ(spec.infeasibleReasonAt(accel.dramBytesPerCycle), "");
+
+        dram::ChannelTimeline fast(spec, accel);
+        dram::oracle::ChannelTimeline slow(spec, accel);
+        std::int64_t cycle = 0;
+        const int transfers = rng.uniformInt(50, 250);
+        for (int i = 0; i < transfers; ++i) {
+            // Mostly forward in time; sometimes behind the channel.
+            cycle = std::max<std::int64_t>(
+                0, cycle + rng.uniformInt(-400, 2500));
+            const std::int64_t bytes =
+                rng.bernoulli(0.05)
+                    ? 0
+                    : rng.uniformInt(1, 6000);
+            const bool write = rng.bernoulli(0.4);
+            ASSERT_EQ(fast.transfer(cycle, bytes, write),
+                      slow.transfer(cycle, bytes, write))
+                << "trial " << trial << " transfer " << i;
+        }
+        ASSERT_EQ(fast.stats(), slow.stats()) << "trial " << trial;
+        busy += fast.stats().backgroundRequests > 0;
+    }
+    EXPECT_GT(busy, 80); // Most trials really interleaved traffic.
+}
+
+TEST(ChannelDifferential, DramEngineMatchesOracleOnTheFoldTimeline)
+{
+    // End to end through the fold timeline: the (5, 32) policy plus a
+    // layer that spills every scratchpad, under the paper's camera +
+    // host scenario from idle to saturated, both row policies.
+    std::vector<nn::Layer> layers = nn::buildE2EModel({5, 32}).layers();
+    layers.push_back(nn::conv2d("spill", 128, 128, 48, 3, 1, 96));
+    sys::AcceleratorConfig accel;
+    accel.peRows = accel.peCols = 16;
+    accel.ifmapSramKb = accel.filterSramKb = accel.ofmapSramKb = 64;
+    for (const dram::RowPolicy policy :
+         {dram::RowPolicy::Open, dram::RowPolicy::Closed}) {
+        for (const double mbps : {50.0, 400.0, 4000.0}) {
+            dram::DramTiming timing;
+            timing.rowPolicy = policy;
+            const dram::DramSpec spec =
+                dram::uavDramSpec(timing, mbps * 1e6, mbps * 0.5e6);
+            const dram::DramCycleEngine engine(accel, spec);
+            dram::ChannelStats oracleStats;
+            for (const nn::Layer &layer : layers) {
+                dram::oracle::ChannelTimeline oracle(spec, accel);
+                const sys::LayerResult want =
+                    sys::runFoldTimeline(layer, accel, oracle);
+                const sys::LayerResult got = engine.runLayer(layer);
+                oracleStats.accumulate(oracle.stats());
+                EXPECT_EQ(got.totalCycles, want.totalCycles) << layer.name;
+                EXPECT_EQ(got.stallCycles, want.stallCycles) << layer.name;
+                EXPECT_EQ(got.computeCycles, want.computeCycles)
+                    << layer.name;
+            }
+            EXPECT_EQ(engine.runStats(), oracleStats) << mbps;
+        }
+    }
 }
 
 // ------------------------------------------------------------- engine ----

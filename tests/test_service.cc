@@ -175,6 +175,12 @@ TEST(Submission, RejectsBadDocumentsWithDiagnostics)
          R"({"backend": "dram", "camera_mbps": 100,)"
          R"( "dram_timing": "4:4:4:10:36"})",
          "infeasible"},
+        {"x",
+         R"({"backend": "dram", "camera_mbps": 100,)"
+         R"( "dram_timing": "600:600:600"})",
+         "refresh"},
+        {"x", R"({"backend": "dram", "dram_banks": 1000000000})",
+         "bank count"},
         {"x", R"({"tenant": "has space"})", "tenant"},
         {"bad/id", "{}", "id"}, // Path-hostile campaign id.
         {"", "{}", "id"},
@@ -410,6 +416,12 @@ TEST(TaskKeys, BlamesTheOffendingKey)
           {"camera_mbps", io::JsonValue::makeNumber(100)},
           {"dram_timing", io::JsonValue::makeString("4:4:4:10:36")}},
          ""},
+        // Commands too slow for the refresh interval at the costed
+        // channel width depend on the timing alone.
+        {{{"backend", io::JsonValue::makeString("dram")},
+          {"camera_mbps", io::JsonValue::makeNumber(100)},
+          {"dram_timing", io::JsonValue::makeString("600:600:600")}},
+         "dram_timing"},
     };
     for (const auto &bad : cases) {
         runner::CampaignTask task;
@@ -514,6 +526,50 @@ TEST(Service, DeeplyNestedSubmissionIsRejectedWhileOthersFinish)
                   .find("nesting deeper than 64 levels"),
               std::string::npos)
         << statusField(root, "poison", "detail");
+    EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);
+    fs::remove_all(goldenRoot);
+    fs::remove_all(root);
+}
+
+TEST(Service, InfeasibleDramTimingIsRejectedWhileOthersFinish)
+{
+    // 600-cycle commands cannot fit between two refreshes of the
+    // default 1560-cycle interval at the 32 B/cycle channel width. That
+    // check used to run only when the first layer built its channel -
+    // a fatal exit mid-campaign that took the co-tenant down and left
+    // the submission in active/ to crash every restart. It is now an
+    // admission-time rejection.
+    const fs::path goldenRoot = testDir("dram_timing_golden");
+    {
+        runner::ServiceConfig config = fastConfig(goldenRoot);
+        config.maxCampaigns = 1;
+        runner::CampaignService service(config);
+        submit(goldenRoot, "good", kSmallSubmission);
+        ASSERT_EQ(service.serve().completed, 1u);
+    }
+    const std::string golden =
+        fileBytes(goldenRoot / "results" / "good.result");
+    ASSERT_FALSE(golden.empty());
+
+    const fs::path root = testDir("dram_timing");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxCampaigns = 1;
+    runner::CampaignService service(config);
+    submit(root, "bad",
+           R"({"tenant": "bob", "density": "low", "episodes": 10,)"
+           R"( "budget": 8, "backend": "dram", "camera_mbps": 100,)"
+           R"( "dram_timing": "600:600:600"})");
+    submit(root, "good", kSmallSubmission);
+    const runner::ServiceReport report = service.serve();
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.rejected, 1u);
+
+    EXPECT_TRUE(fs::exists(root / "done" / "bad.rejected"));
+    EXPECT_TRUE(fs::is_empty(root / "active"));
+    EXPECT_EQ(statusField(root, "bad", "state"), "rejected");
+    EXPECT_NE(statusField(root, "bad", "detail").find("refresh"),
+              std::string::npos)
+        << statusField(root, "bad", "detail");
     EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);
     fs::remove_all(goldenRoot);
     fs::remove_all(root);
