@@ -41,16 +41,17 @@
 #include "dse/hypervolume.h"
 #include "dse/pareto.h"
 #include "nn/e2e_template.h"
+#include "oracle/systolic_functional.h"
 #include "power/dram_model.h"
 #include "power/npu_power.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
-#include "systolic/functional.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 using namespace autopilot;
+namespace oracle = autopilot::systolic::oracle;
 
 int
 main()
@@ -68,7 +69,7 @@ main()
         const int k = rng.uniformInt(1, 60);
         const int n = rng.uniformInt(1, 40);
         const int pe = 1 << rng.uniformInt(1, 4); // 2..16.
-        systolic::IntMatrix a(m, k), b(k, n);
+        oracle::IntMatrix a(m, k), b(k, n);
         for (auto &v : a.data)
             v = rng.uniformInt(-128, 127);
         for (auto &v : b.data)
@@ -82,18 +83,18 @@ main()
         config.peRows = pe;
         config.peCols = pe;
 
-        const auto ws = systolic::runWeightStationaryGemm(a, b, pe, pe);
+        const auto ws = oracle::runWeightStationaryGemm(a, b, pe, pe);
         exact_ws +=
             (ws.totalCycles ==
              systolic::scheduleGemm(gemm, config).computeCycles()) &&
-            (ws.output.data == systolic::referenceGemm(a, b).data);
+            (ws.output.data == oracle::referenceGemm(a, b).data);
 
         config.dataflow = systolic::Dataflow::OutputStationary;
-        const auto os = systolic::runOutputStationaryGemm(a, b, pe, pe);
+        const auto os = oracle::runOutputStationaryGemm(a, b, pe, pe);
         exact_os +=
             (os.totalCycles ==
              systolic::scheduleGemm(gemm, config).computeCycles()) &&
-            (os.output.data == systolic::referenceGemm(a, b).data);
+            (os.output.data == oracle::referenceGemm(a, b).data);
     }
     std::cout << "WS: " << exact_ws << "/" << gemm_trials
               << " bit- and cycle-exact; OS: " << exact_os << "/"

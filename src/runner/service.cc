@@ -343,6 +343,28 @@ applyTaskKeys(const std::map<std::string, io::JsonValue> &keys,
     }
     spec.contention.cameraBytesPerSec = cameraBps;
     spec.contention.hostBytesPerSec = hostBps;
+    // The flat profile is simulated by the contention backend and the
+    // tiered verify tier, at the default clock and DRAM width that
+    // DesignSpace::decode keeps for every design point; the other
+    // backends only validate its rates. Checked here, an infeasible
+    // profile is a rejected submission instead of a fatal mid-campaign.
+    const bool simulatesProfile =
+        spec.backend == "contention" || spec.backend == "tiered";
+    const std::string reason =
+        simulatesProfile
+            ? spec.contention.infeasibleReason(systolic::AcceleratorConfig{})
+            : spec.contention.invalidReason();
+    if (!reason.empty()) {
+        // Rates are the only keys left to blame: negative ones and the
+        // floor's range fail at parse time. Name the non-finite rate,
+        // else the larger share of the background load.
+        badKey = !std::isfinite(cameraBps) ? "camera_mbps"
+                 : !std::isfinite(hostBps) ? "host_mbps"
+                 : cameraBps >= hostBps    ? "camera_mbps"
+                                           : "host_mbps";
+        error = "infeasible contention profile: " + reason;
+        return false;
+    }
     return true;
 }
 

@@ -86,7 +86,9 @@ struct CampaignSubmission
  * the task keeps the caller's mix. The camera/host rates program
  * bank-level generators (spec.dram) for the "dram" backend, or for
  * "tiered" with a dram_* key, and the flat spec.contention surcharge
- * otherwise - never both.
+ * otherwise - never both. A channel or profile the backend could not
+ * simulate at the default accelerator clock and width is rejected here
+ * (dram_timing, camera_mbps or host_mbps blamed), not fatal later.
  *
  * Returns false with a diagnostic in @p error and the key it blames in
  * @p badKey ("" when no one key is at fault); never calls fatal().

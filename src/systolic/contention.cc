@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "util/logging.h"
 
@@ -18,20 +19,44 @@ ContentionProfile::derate(const AcceleratorConfig &config) const
     return std::max(share, npuFloorFraction);
 }
 
+std::string
+ContentionProfile::invalidReason() const
+{
+    std::ostringstream what;
+    // !(x >= 0) instead of x < 0: NaN rates must not slip through.
+    if (!(cameraBytesPerSec >= 0.0) || !std::isfinite(cameraBytesPerSec))
+        what << "camera rate must be finite and >= 0 (got "
+             << cameraBytesPerSec << " B/s)";
+    else if (!(hostBytesPerSec >= 0.0) || !std::isfinite(hostBytesPerSec))
+        what << "host rate must be finite and >= 0 (got "
+             << hostBytesPerSec << " B/s)";
+    else if (!(npuFloorFraction >= 0.0) || npuFloorFraction >= 1.0)
+        what << "QoS floor outside [0, 1) (got " << npuFloorFraction
+             << ")";
+    return what.str();
+}
+
+std::string
+ContentionProfile::infeasibleReason(const AcceleratorConfig &config) const
+{
+    std::string reason = invalidReason();
+    if (!reason.empty() || derate(config) > 0.0)
+        return reason;
+    std::ostringstream what;
+    what << "no DRAM bandwidth left to the NPU (background "
+         << totalBytesPerSec() << " B/s >= peak "
+         << static_cast<double>(config.dramBytesPerCycle) *
+                config.clockGhz * 1e9
+         << " B/s and no QoS floor) - raise npuFloorFraction or lower "
+            "the background load";
+    return what.str();
+}
+
 void
 ContentionProfile::validate() const
 {
-    // !(x >= 0) instead of x < 0: NaN rates must not slip through.
-    util::fatalIf(!(cameraBytesPerSec >= 0.0) ||
-                      !std::isfinite(cameraBytesPerSec),
-                  "ContentionProfile: camera rate must be finite and "
-                  ">= 0");
-    util::fatalIf(!(hostBytesPerSec >= 0.0) ||
-                      !std::isfinite(hostBytesPerSec),
-                  "ContentionProfile: host rate must be finite and "
-                  ">= 0");
-    util::fatalIf(!(npuFloorFraction >= 0.0) || npuFloorFraction >= 1.0,
-                  "ContentionProfile: QoS floor outside [0, 1)");
+    const std::string reason = invalidReason();
+    util::fatalIf(!reason.empty(), "ContentionProfile: " + reason);
 }
 
 } // namespace autopilot::systolic

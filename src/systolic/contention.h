@@ -15,6 +15,8 @@
 #ifndef AUTOPILOT_SYSTOLIC_CONTENTION_H
 #define AUTOPILOT_SYSTOLIC_CONTENTION_H
 
+#include <string>
+
 #include "systolic/config.h"
 
 namespace autopilot::systolic
@@ -54,9 +56,20 @@ struct ContentionProfile
     double derate(const AcceleratorConfig &config) const;
 
     /**
-     * Abort via fatal() when any rate is negative or non-finite, or the
-     * QoS floor is outside [0, 1).
+     * "" when the profile is well formed, else a named diagnosis: a
+     * negative or non-finite rate, or a QoS floor outside [0, 1).
      */
+    std::string invalidReason() const;
+
+    /**
+     * "" when the cycle engine can simulate the profile on @p config,
+     * else a named diagnosis: invalidReason(), or a derate <= 0 (the
+     * background load reaches @p config's peak bandwidth and there is
+     * no QoS floor).
+     */
+    std::string infeasibleReason(const AcceleratorConfig &config) const;
+
+    /** Abort via fatal() with invalidReason() when it is not empty. */
     void validate() const;
 
     bool operator==(const ContentionProfile &other) const = default;

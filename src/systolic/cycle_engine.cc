@@ -1,6 +1,6 @@
 #include "systolic/cycle_engine.h"
 
-#include <sstream>
+#include <string>
 
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -18,25 +18,32 @@ CycleEngine::CycleEngine(const AcceleratorConfig &config,
     : cfg(config), profile(contention)
 {
     cfg.validate();
-    profile.validate();
+    const std::string reason = profile.infeasibleReason(cfg);
+    util::fatalIf(!reason.empty(),
+                  "CycleEngine: infeasible contention profile: " + reason);
     bandwidthDerate = profile.enabled() ? profile.derate(cfg) : 1.0;
-    if (bandwidthDerate <= 0.0) {
-        std::ostringstream what;
-        what << "CycleEngine: contention profile leaves no DRAM "
-                "bandwidth to the NPU (background "
-             << profile.totalBytesPerSec() << " B/s >= peak "
-             << static_cast<double>(cfg.dramBytesPerCycle) *
-                    cfg.clockGhz * 1e9
-             << " B/s and no QoS floor) - raise npuFloorFraction or "
-                "lower the background load";
-        util::fatal(what.str());
-    }
 }
 
 LayerResult
 CycleEngine::runLayer(const nn::Layer &layer) const
 {
     return runFlatLayer(layer, cfg, bandwidthDerate);
+}
+
+LayerResult
+foldTimelineResult(const nn::Layer &layer, const FoldTraffic &split,
+                   const TimelineCycles &cycles)
+{
+    LayerResult result;
+    result.layerName = layer.name;
+    result.gemm = layer.gemm();
+    result.rowFolds = split.grid().rowFolds;
+    result.colFolds = split.grid().colFolds;
+    result.computeCycles = cycles.busy;
+    result.traffic = split.totals();
+    result.totalCycles = cycles.total;
+    result.stallCycles = cycles.total - cycles.busy;
+    return result;
 }
 
 LayerResult
@@ -51,7 +58,9 @@ runFlatLayer(const nn::Layer &layer, const AcceleratorConfig &config,
             : nullptr);
 
     const FlatChannel channel(config.dramBytesPerCycle, derate);
-    LayerResult result = runFoldTimeline(layer, config, channel);
+    const FoldTraffic split(layer, config);
+    LayerResult result = foldTimelineResult(
+        layer, split, fastForwardTimeline(split, channel));
 
     if (telemetry.enabled()) {
         telemetry.metrics().counter("systolic.cycle.layers").add();

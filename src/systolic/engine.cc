@@ -102,8 +102,7 @@ AnalyticalEngine::runLayer(const nn::Layer &layer) const
     const std::int64_t dram_cycles =
         (dram_bytes + cfg.dramBytesPerCycle - 1) / cfg.dramBytesPerCycle;
     const std::int64_t first_tile =
-        (foldFetchBytes(layer, schedule, cfg, 0) + cfg.dramBytesPerCycle -
-         1) /
+        (foldFetchBytes(layer, cfg, 0) + cfg.dramBytesPerCycle - 1) /
         cfg.dramBytesPerCycle;
 
     result.totalCycles =

@@ -12,6 +12,7 @@
  *    writeback recurrence over a pluggable DRAM channel. It has three
  *    users: CycleEngine (flat channel, optionally derated by a
  *    contention profile; the reference model used by the benches),
+ *    which fast-forwards it through runs of identical folds,
  *    dram::DramCycleEngine (bank-level channel) and traceLayer()
  *    (trace.h), which records each fold's events.
  *

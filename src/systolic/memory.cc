@@ -21,14 +21,18 @@ halfCapacityBytes(int sram_kb)
 
 } // namespace
 
+EvenSplit::EvenSplit(std::int64_t total, std::int64_t share_count)
+{
+    panicIf(share_count <= 0, "evenShare: no designated folds");
+    base = total / share_count;
+    extra = total % share_count;
+}
+
 std::int64_t
 evenShare(std::int64_t total, std::int64_t share_count,
           std::int64_t share_index)
 {
-    panicIf(share_count <= 0, "evenShare: no designated folds");
-    const std::int64_t base = total / share_count;
-    const std::int64_t extra = total % share_count;
-    return base + (share_index < extra ? 1 : 0);
+    return EvenSplit(total, share_count).share(share_index);
 }
 
 void
@@ -78,8 +82,9 @@ namespace
 
 /** computeTraffic() for a layer whose residency is already known. */
 LayerTraffic
-trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
-            const AcceleratorConfig &config, const Residency &residency)
+trafficWith(const nn::Layer &layer, std::int64_t row_folds,
+            std::int64_t col_folds, const AcceleratorConfig &config,
+            const Residency &residency)
 {
     const std::int64_t bpe = config.bytesPerElement;
     const nn::GemmShape gemm = layer.gemm();
@@ -90,8 +95,7 @@ trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
     LayerTraffic traffic;
 
     const bool crosses_folds =
-        config.dataflow != Dataflow::OutputStationary &&
-        schedule.rowFolds > 1;
+        config.dataflow != Dataflow::OutputStationary && row_folds > 1;
     const std::int64_t chunks =
         crosses_folds ? residency.streamChunks : 1;
 
@@ -99,7 +103,7 @@ trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
     switch (config.dataflow) {
       case Dataflow::WeightStationary:
         traffic.ifmapDramBytes = residency.ifmapResident
-            ? ifmap_bytes : ifmap_bytes * schedule.colFolds;
+            ? ifmap_bytes : ifmap_bytes * col_folds;
         // Weights are pinned once per stream chunk (once total when the
         // psums of the whole stream fit on chip), unless the filter set
         // is SRAM-resident.
@@ -108,16 +112,16 @@ trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
         break;
       case Dataflow::OutputStationary:
         traffic.ifmapDramBytes = residency.ifmapResident
-            ? ifmap_bytes : ifmap_bytes * schedule.colFolds;
+            ? ifmap_bytes : ifmap_bytes * col_folds;
         traffic.filterDramBytes = residency.filterResident
-            ? filter_bytes : filter_bytes * schedule.rowFolds;
+            ? filter_bytes : filter_bytes * row_folds;
         break;
       case Dataflow::InputStationary:
         // The im2col footprint is pinned once per stream chunk.
         traffic.ifmapDramBytes = residency.ifmapResident
             ? ifmap_bytes : gemm.m * gemm.k * bpe * chunks;
         traffic.filterDramBytes = residency.filterResident
-            ? filter_bytes : filter_bytes * schedule.colFolds;
+            ? filter_bytes : filter_bytes * col_folds;
         break;
     }
     // Cross-fold partial sums always accumulate on chip (see file
@@ -127,21 +131,21 @@ trafficWith(const nn::Layer &layer, const FoldSchedule &schedule,
     // --- Scratchpad accesses (elements) ---
     switch (config.dataflow) {
       case Dataflow::WeightStationary:
-        traffic.ifmapSramReads = gemm.m * gemm.k * schedule.colFolds;
+        traffic.ifmapSramReads = gemm.m * gemm.k * col_folds;
         traffic.filterSramReads = gemm.k * gemm.n * chunks;
         break;
       case Dataflow::OutputStationary:
-        traffic.ifmapSramReads = gemm.m * gemm.k * schedule.colFolds;
-        traffic.filterSramReads = gemm.k * gemm.n * schedule.rowFolds;
+        traffic.ifmapSramReads = gemm.m * gemm.k * col_folds;
+        traffic.filterSramReads = gemm.k * gemm.n * row_folds;
         break;
       case Dataflow::InputStationary:
         traffic.ifmapSramReads = gemm.m * gemm.k * chunks;
-        traffic.filterSramReads = gemm.k * gemm.n * schedule.colFolds;
+        traffic.filterSramReads = gemm.k * gemm.n * col_folds;
         break;
     }
     traffic.ofmapSramWrites = gemm.m * gemm.n;
     if (crosses_folds) {
-        traffic.psumSramReads = gemm.m * gemm.n * (schedule.rowFolds - 1);
+        traffic.psumSramReads = gemm.m * gemm.n * (row_folds - 1);
         traffic.psumSramWrites = traffic.psumSramReads;
     }
 
@@ -154,81 +158,161 @@ LayerTraffic
 computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
                const AcceleratorConfig &config)
 {
-    return trafficWith(layer, schedule, config,
+    return trafficWith(layer, schedule.rowFolds, schedule.colFolds, config,
                        analyzeResidency(layer, config));
 }
 
 FoldTraffic::FoldTraffic(const nn::Layer &layer,
-                         const FoldSchedule &schedule,
                          const AcceleratorConfig &config)
     : residency(analyzeResidency(layer, config)),
-      traffic(trafficWith(layer, schedule, config, residency)),
-      dataflow(config.dataflow), rowFolds(schedule.rowFolds),
-      colFolds(schedule.colFolds)
+      foldGrid_(foldGrid(layer.gemm(), config)),
+      traffic(trafficWith(layer, foldGrid_.rowFolds, foldGrid_.colFolds,
+                          config, residency))
 {
+    using Over = TensorShare::Over;
+    using Only = TensorShare::Only;
+    const Dataflow dataflow = config.dataflow;
+    const std::int64_t rows = foldGrid_.rowFolds;
+    const std::int64_t cols = foldGrid_.colFolds;
+    const std::int64_t folds = foldGrid_.foldCount();
+
+    // Ifmap: when resident (and not IS), only the first column pass of
+    // each row fold fetches; otherwise every fold fetches its share.
+    if (dataflow == Dataflow::InputStationary || !residency.ifmapResident)
+        ifmap = {Over::Folds, Only::AnyFold,
+                 EvenSplit(traffic.ifmapDramBytes, folds)};
+    else
+        ifmap = {Over::Rows, Only::FirstColumn,
+                 EvenSplit(traffic.ifmapDramBytes, rows)};
+
+    // Filter: WS fetches per fold by construction; OS/IS fetch per fold
+    // unless resident, in which case only the first pass fetches.
+    if (dataflow == Dataflow::OutputStationary && residency.filterResident)
+        filter = {Over::Columns, Only::FirstRow,
+                  EvenSplit(traffic.filterDramBytes, cols)};
+    else if (dataflow == Dataflow::InputStationary &&
+             residency.filterResident)
+        filter = {Over::Rows, Only::FirstColumn,
+                  EvenSplit(traffic.filterDramBytes, rows)};
+    else
+        filter = {Over::Folds, Only::AnyFold,
+                  EvenSplit(traffic.filterDramBytes, folds)};
+
+    // OS finishes an output tile per fold, so every fold writes its
+    // share; WS/IS finish tiles on the last row-fold pass only.
+    if (dataflow == Dataflow::OutputStationary)
+        ofmap = {Over::Folds, Only::AnyFold,
+                 EvenSplit(traffic.ofmapDramBytes, folds)};
+    else
+        ofmap = {Over::Columns, Only::LastRow,
+                 EvenSplit(traffic.ofmapDramBytes, cols)};
 }
 
 std::int64_t
 FoldTraffic::fetchBytes(std::int64_t fold_index) const
 {
-    const std::int64_t folds = rowFolds * colFolds;
-    panicIf(fold_index < 0 || fold_index >= folds,
+    panicIf(fold_index < 0 || fold_index >= foldGrid_.foldCount(),
             "foldFetchBytes: fold index out of range");
-    const std::int64_t i = fold_index / colFolds;
-    const std::int64_t j = fold_index % colFolds;
-
-    std::int64_t bytes = 0;
-
-    // Ifmap: when resident (and not IS), only the first column pass of
-    // each row fold fetches; otherwise every fold fetches its share.
-    if (dataflow == Dataflow::InputStationary || !residency.ifmapResident)
-        bytes += evenShare(traffic.ifmapDramBytes, folds, fold_index);
-    else if (j == 0)
-        bytes += evenShare(traffic.ifmapDramBytes, rowFolds, i);
-
-    // Filter: WS fetches per fold by construction; OS/IS fetch per fold
-    // unless resident, in which case only the first pass fetches.
-    if (dataflow == Dataflow::OutputStationary && residency.filterResident) {
-        if (i == 0)
-            bytes += evenShare(traffic.filterDramBytes, colFolds, j);
-    } else if (dataflow == Dataflow::InputStationary &&
-               residency.filterResident) {
-        if (j == 0)
-            bytes += evenShare(traffic.filterDramBytes, rowFolds, i);
-    } else {
-        bytes += evenShare(traffic.filterDramBytes, folds, fold_index);
-    }
-    return bytes;
+    return fetchBytes(fold_index / foldGrid_.colFolds,
+                      fold_index % foldGrid_.colFolds);
 }
 
 std::int64_t
 FoldTraffic::writebackBytes(std::int64_t fold_index) const
 {
-    panicIf(fold_index < 0 || fold_index >= rowFolds * colFolds,
+    panicIf(fold_index < 0 || fold_index >= foldGrid_.foldCount(),
             "foldWritebackBytes: fold index out of range");
-    // OS finishes an output tile per fold, so every fold writes its
-    // share; WS/IS finish tiles on the last row-fold pass only.
-    if (dataflow == Dataflow::OutputStationary)
-        return evenShare(traffic.ofmapDramBytes, rowFolds * colFolds,
-                         fold_index);
-    if (fold_index / colFolds == rowFolds - 1)
-        return evenShare(traffic.ofmapDramBytes, colFolds,
-                         fold_index % colFolds);
-    return 0;
+    return writebackBytes(fold_index / foldGrid_.colFolds,
+                          fold_index % foldGrid_.colFolds);
+}
+
+namespace
+{
+
+/** Add @p boundary to @p runs when it falls inside (0, end). */
+void
+addBoundary(FoldRuns &runs, std::int64_t boundary, std::int64_t end)
+{
+    if (boundary <= 0 || boundary >= end)
+        return;
+    panicIf(runs.count + 2 >= static_cast<int>(runs.at.size()),
+            "FoldRuns: too many boundaries");
+    runs.at[static_cast<std::size_t>(runs.count++)] = boundary;
+}
+
+/** Sort and dedupe the inner boundaries, then bracket them by 0/end. */
+FoldRuns
+closeRuns(FoldRuns inner, std::int64_t end)
+{
+    const auto first = inner.at.begin();
+    std::sort(first, first + inner.count);
+    FoldRuns runs;
+    runs.at[0] = 0;
+    runs.count = 1;
+    for (int k = 0; k < inner.count; ++k)
+        if (inner.at[k] != runs.at[runs.count - 1])
+            runs.at[runs.count++] = inner.at[k];
+    runs.at[runs.count++] = end;
+    return runs;
+}
+
+} // namespace
+
+FoldRuns
+FoldTraffic::rowRuns() const
+{
+    const std::int64_t rows = foldGrid_.rowFolds;
+    const std::int64_t cols = foldGrid_.colFolds;
+    FoldRuns inner;
+    // Row 0 and the last row are their own runs: first-row and last-row
+    // shares, and the last row's remainder tile (rowsUsed).
+    addBoundary(inner, 1, rows);
+    addBoundary(inner, rows - 1, rows);
+    for (const TensorShare *share : {&ifmap, &filter, &ofmap}) {
+        const std::int64_t extra = share->split.extra;
+        if (share->over == TensorShare::Over::Rows) {
+            addBoundary(inner, extra, rows);
+        } else if (share->over == TensorShare::Over::Folds) {
+            // Rows below extra / C hold only remainder folds, rows past
+            // it none; the row in between holds both.
+            addBoundary(inner, extra / cols, rows);
+            addBoundary(inner, extra / cols + 1, rows);
+        }
+    }
+    return closeRuns(inner, rows);
+}
+
+FoldRuns
+FoldTraffic::columnRuns(std::int64_t i) const
+{
+    const std::int64_t cols = foldGrid_.colFolds;
+    FoldRuns inner;
+    // Column 0 carries the first-column shares; the last column holds
+    // the remainder tile (colsUsed).
+    addBoundary(inner, 1, cols);
+    addBoundary(inner, cols - 1, cols);
+    for (const TensorShare *share : {&ifmap, &filter, &ofmap}) {
+        const std::int64_t extra = share->split.extra;
+        if (share->over == TensorShare::Over::Columns)
+            addBoundary(inner, extra, cols);
+        else if (share->over == TensorShare::Over::Folds)
+            addBoundary(inner, extra - i * cols, cols);
+    }
+    return closeRuns(inner, cols);
 }
 
 std::int64_t
-foldFetchBytes(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config, std::int64_t fold_index)
+foldFetchBytes(const nn::Layer &layer, const AcceleratorConfig &config,
+               std::int64_t fold_index)
 {
-    return FoldTraffic(layer, schedule, config).fetchBytes(fold_index);
+    return FoldTraffic(layer, config).fetchBytes(fold_index);
 }
 
 std::int64_t
-foldWritebackBytes(const nn::Layer &layer, const FoldSchedule &schedule,
-                   const AcceleratorConfig &config, std::int64_t fold_index)
+foldWritebackBytes(const nn::Layer &layer, const AcceleratorConfig &config,
+                   std::int64_t fold_index)
 {
-    return FoldTraffic(layer, schedule, config).writebackBytes(fold_index);
+    return FoldTraffic(layer, config).writebackBytes(fold_index);
 }
 
 } // namespace autopilot::systolic

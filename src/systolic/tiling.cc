@@ -16,29 +16,42 @@ ceilDiv(std::int64_t a, std::int64_t b)
     return (a + b - 1) / b;
 }
 
-/** GEMM dimensions assigned to array rows/columns/stream per dataflow. */
-struct DimAssignment
-{
-    std::int64_t rowDim = 0;
-    std::int64_t colDim = 0;
-    std::int64_t streamDim = 0;
-};
-
-DimAssignment
-assignDims(const nn::GemmShape &gemm, Dataflow dataflow)
-{
-    switch (dataflow) {
-      case Dataflow::WeightStationary:
-        return {gemm.k, gemm.n, gemm.m};
-      case Dataflow::OutputStationary:
-        return {gemm.m, gemm.n, gemm.k};
-      case Dataflow::InputStationary:
-        return {gemm.k, gemm.m, gemm.n};
-    }
-    util::panic("assignDims: unknown dataflow");
-}
-
 } // namespace
+
+FoldGrid
+foldGrid(const nn::GemmShape &gemm, const AcceleratorConfig &config)
+{
+    panicIf(gemm.m <= 0 || gemm.n <= 0 || gemm.k <= 0,
+            "foldGrid: degenerate GEMM shape");
+    config.validate();
+
+    // GEMM dimensions assigned to array rows/columns/stream per dataflow.
+    FoldGrid grid;
+    switch (config.dataflow) {
+      case Dataflow::WeightStationary:
+        grid.rowDim = gemm.k;
+        grid.colDim = gemm.n;
+        grid.streamDim = gemm.m;
+        break;
+      case Dataflow::OutputStationary:
+        grid.rowDim = gemm.m;
+        grid.colDim = gemm.n;
+        grid.streamDim = gemm.k;
+        break;
+      case Dataflow::InputStationary:
+        grid.rowDim = gemm.k;
+        grid.colDim = gemm.m;
+        grid.streamDim = gemm.n;
+        break;
+      default:
+        util::panic("foldGrid: unknown dataflow");
+    }
+    grid.peRows = config.peRows;
+    grid.peCols = config.peCols;
+    grid.rowFolds = ceilDiv(grid.rowDim, grid.peRows);
+    grid.colFolds = ceilDiv(grid.colDim, grid.peCols);
+    return grid;
+}
 
 std::int64_t
 FoldSchedule::computeCycles() const
@@ -72,34 +85,21 @@ foldCycles(std::int64_t rows_used, std::int64_t cols_used,
 FoldSchedule
 scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
 {
-    panicIf(gemm.m <= 0 || gemm.n <= 0 || gemm.k <= 0,
-            "scheduleGemm: degenerate GEMM shape");
-    config.validate();
-
-    const DimAssignment dims = assignDims(gemm, config.dataflow);
-    const std::int64_t sr = config.peRows;
-    const std::int64_t sc = config.peCols;
+    const FoldGrid grid = foldGrid(gemm, config);
 
     FoldSchedule schedule;
-    schedule.rowFolds = ceilDiv(dims.rowDim, sr);
-    schedule.colFolds = ceilDiv(dims.colDim, sc);
-    schedule.folds.reserve(
-        static_cast<std::size_t>(schedule.rowFolds * schedule.colFolds));
+    schedule.rowFolds = grid.rowFolds;
+    schedule.colFolds = grid.colFolds;
+    schedule.folds.reserve(static_cast<std::size_t>(grid.foldCount()));
 
-    for (std::int64_t i = 0; i < schedule.rowFolds; ++i) {
-        const std::int64_t rows_used =
-            std::min(sr, dims.rowDim - i * sr);
-        for (std::int64_t j = 0; j < schedule.colFolds; ++j) {
-            const std::int64_t cols_used =
-                std::min(sc, dims.colDim - j * sc);
-
+    for (std::int64_t i = 0; i < grid.rowFolds; ++i) {
+        for (std::int64_t j = 0; j < grid.colFolds; ++j) {
             Fold fold;
-            fold.rowsUsed = rows_used;
-            fold.colsUsed = cols_used;
-            fold.streamLen = dims.streamDim;
-            fold.cycles = foldCycles(rows_used, cols_used, dims.streamDim);
-            fold.macs = rows_used * cols_used * dims.streamDim;
-
+            fold.rowsUsed = grid.rowsUsed(i);
+            fold.colsUsed = grid.colsUsed(j);
+            fold.streamLen = grid.streamDim;
+            fold.cycles = grid.cycles(i, j);
+            fold.macs = fold.rowsUsed * fold.colsUsed * grid.streamDim;
             schedule.folds.push_back(fold);
         }
     }

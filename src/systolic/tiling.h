@@ -11,14 +11,16 @@
  *   IS: rows <- K (window depth), cols <- M (output pixels); N streams.
  *
  * Each fold has a fill/compute/drain cycle count derived from the classic
- * systolic pipeline timing. The scheduler knows nothing about memory: the
- * bytes each fold moves come from the residency-aware split in memory.h
- * (FoldTraffic).
+ * systolic pipeline timing. FoldGrid answers it per fold in closed form;
+ * scheduleGemm() materializes the whole schedule. Neither knows anything
+ * about memory: the bytes each fold moves come from the residency-aware
+ * split in memory.h (FoldTraffic).
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_TILING_H
 #define AUTOPILOT_SYSTOLIC_TILING_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -56,15 +58,6 @@ struct FoldSchedule
 };
 
 /**
- * Build the fold schedule for a layer on a given accelerator.
- *
- * @param gemm   GEMM view of the layer.
- * @param config Accelerator configuration (array shape and dataflow).
- */
-FoldSchedule scheduleGemm(const nn::GemmShape &gemm,
-                          const AcceleratorConfig &config);
-
-/**
  * Cycles for a single fold given the array shape and streamed length.
  *
  * Timing follows the standard systolic pipeline: rows_used cycles to fill
@@ -73,6 +66,55 @@ FoldSchedule scheduleGemm(const nn::GemmShape &gemm,
  */
 std::int64_t foldCycles(std::int64_t rows_used, std::int64_t cols_used,
                         std::int64_t stream_len);
+
+/**
+ * How a GEMM splits into folds on an array, answered per fold in closed
+ * form: every fold is full except the last row of folds and the last
+ * column of folds, which hold the remainders.
+ */
+struct FoldGrid
+{
+    std::int64_t rowDim = 0;    ///< GEMM dimension mapped to array rows.
+    std::int64_t colDim = 0;    ///< GEMM dimension mapped to columns.
+    std::int64_t streamDim = 0; ///< GEMM dimension streamed through.
+    std::int64_t peRows = 0;
+    std::int64_t peCols = 0;
+    std::int64_t rowFolds = 0; ///< Folds along the row-mapped dimension.
+    std::int64_t colFolds = 0; ///< Folds along the column-mapped one.
+
+    std::int64_t foldCount() const { return rowFolds * colFolds; }
+
+    /** PE rows occupied by the folds of row fold @p i. */
+    std::int64_t rowsUsed(std::int64_t i) const
+    {
+        return std::min(peRows, rowDim - i * peRows);
+    }
+
+    /** PE columns occupied by the folds of column fold @p j. */
+    std::int64_t colsUsed(std::int64_t j) const
+    {
+        return std::min(peCols, colDim - j * peCols);
+    }
+
+    /** foldCycles() of fold (@p i, @p j). */
+    std::int64_t cycles(std::int64_t i, std::int64_t j) const
+    {
+        return foldCycles(rowsUsed(i), colsUsed(j), streamDim);
+    }
+};
+
+/** The fold grid of @p gemm on @p config's array and dataflow. */
+FoldGrid foldGrid(const nn::GemmShape &gemm,
+                  const AcceleratorConfig &config);
+
+/**
+ * Build the fold schedule for a layer on a given accelerator.
+ *
+ * @param gemm   GEMM view of the layer.
+ * @param config Accelerator configuration (array shape and dataflow).
+ */
+FoldSchedule scheduleGemm(const nn::GemmShape &gemm,
+                          const AcceleratorConfig &config);
 
 } // namespace autopilot::systolic
 

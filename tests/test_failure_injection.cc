@@ -82,8 +82,8 @@ TEST(FailureInjection, MinimalSramEverywhereStillConserves)
     const auto traffic = sys::computeTraffic(conv, schedule, config);
     std::int64_t shares = 0;
     for (std::int64_t f = 0; f < schedule.foldCount(); ++f) {
-        shares += sys::foldFetchBytes(conv, schedule, config, f);
-        shares += sys::foldWritebackBytes(conv, schedule, config, f);
+        shares += sys::foldFetchBytes(conv, config, f);
+        shares += sys::foldWritebackBytes(conv, config, f);
     }
     EXPECT_EQ(shares, traffic.totalDramBytes());
 }

@@ -422,6 +422,23 @@ TEST(TaskKeys, BlamesTheOffendingKey)
           {"camera_mbps", io::JsonValue::makeNumber(100)},
           {"dram_timing", io::JsonValue::makeString("600:600:600")}},
          "dram_timing"},
+        // A flat profile the contention backend or the tiered verify
+        // tier would simulate with no bandwidth left, or a rate that
+        // overflows to inf once scaled to B/s.
+        {{{"backend", io::JsonValue::makeString("contention")},
+          {"camera_mbps", io::JsonValue::makeNumber(1e8)},
+          {"npu_floor", io::JsonValue::makeNumber(0)}},
+         "camera_mbps"},
+        {{{"backend", io::JsonValue::makeString("tiered")},
+          {"camera_mbps", io::JsonValue::makeNumber(10)},
+          {"host_mbps", io::JsonValue::makeNumber(1e8)}},
+         "host_mbps"},
+        {{{"backend", io::JsonValue::makeString("contention")},
+          {"camera_mbps", io::JsonValue::makeNumber(1e303)}},
+         "camera_mbps"},
+        {{{"backend", io::JsonValue::makeString("analytical")},
+          {"host_mbps", io::JsonValue::makeNumber(1e303)}},
+         "host_mbps"},
     };
     for (const auto &bad : cases) {
         runner::CampaignTask task;
@@ -568,6 +585,49 @@ TEST(Service, InfeasibleDramTimingIsRejectedWhileOthersFinish)
     EXPECT_TRUE(fs::is_empty(root / "active"));
     EXPECT_EQ(statusField(root, "bad", "state"), "rejected");
     EXPECT_NE(statusField(root, "bad", "detail").find("refresh"),
+              std::string::npos)
+        << statusField(root, "bad", "detail");
+    EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);
+    fs::remove_all(goldenRoot);
+    fs::remove_all(root);
+}
+
+TEST(Service, InfeasibleContentionIsRejectedWhileOthersFinish)
+{
+    // A background load past the channel's peak with no QoS floor leaves
+    // the contention backend no bandwidth. CycleEngine used to diagnose
+    // that fatally in the first evaluation - the daemon exited, the
+    // co-tenant's campaign was lost and both files stayed in active/.
+    // It is now an admission-time rejection.
+    const fs::path goldenRoot = testDir("contention_golden");
+    {
+        runner::ServiceConfig config = fastConfig(goldenRoot);
+        config.maxCampaigns = 1;
+        runner::CampaignService service(config);
+        submit(goldenRoot, "good", kSmallSubmission);
+        ASSERT_EQ(service.serve().completed, 1u);
+    }
+    const std::string golden =
+        fileBytes(goldenRoot / "results" / "good.result");
+    ASSERT_FALSE(golden.empty());
+
+    const fs::path root = testDir("contention_infeasible");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxCampaigns = 1;
+    runner::CampaignService service(config);
+    submit(root, "bad",
+           R"({"tenant": "bob", "density": "low", "episodes": 10,)"
+           R"( "budget": 8, "backend": "contention",)"
+           R"( "camera_mbps": 100000000, "npu_floor": 0})");
+    submit(root, "good", kSmallSubmission);
+    const runner::ServiceReport report = service.serve();
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.rejected, 1u);
+
+    EXPECT_TRUE(fs::exists(root / "done" / "bad.rejected"));
+    EXPECT_TRUE(fs::is_empty(root / "active"));
+    EXPECT_EQ(statusField(root, "bad", "state"), "rejected");
+    EXPECT_NE(statusField(root, "bad", "detail").find("no DRAM bandwidth"),
               std::string::npos)
         << statusField(root, "bad", "detail");
     EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/e2e_template.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
+#include "util/rng.h"
 
 namespace sys = autopilot::systolic;
 namespace nn = autopilot::nn;
@@ -296,4 +300,204 @@ TEST(ContentionDeath, RejectsBadProfiles)
     floor.npuFloorFraction = 1.0;
     EXPECT_EXIT(floor.validate(), ::testing::ExitedWithCode(1),
                 "QoS floor");
+}
+
+// ------------------------------------- fast-forwarded fold timeline ----
+
+namespace
+{
+
+/** A random layer and accelerator for the fold-timeline differentials. */
+struct TimelineCase
+{
+    nn::Layer layer;
+    sys::AcceleratorConfig config;
+    double derate = 1.0;
+};
+
+/**
+ * Conv and dense layers on non-power-of-two arrays of 1-40 PEs a side,
+ * all three dataflows, scratchpads of 1-512 KiB (so every residency
+ * combination occurs), DRAM widths 1-64, operand widths 1/2/4, and
+ * derates of 1 or in (0.05, 1). Layers over @p max_folds folds are
+ * redrawn to bound the stepped oracle's run time.
+ */
+TimelineCase
+randomTimelineCase(autopilot::util::Rng &rng, std::int64_t max_folds)
+{
+    for (;;) {
+        TimelineCase c{nn::dense("fc", 1, 1), {}, 1.0};
+        sys::AcceleratorConfig &config = c.config;
+        config.peRows = rng.uniformInt(1, 40);
+        config.peCols = rng.uniformInt(1, 40);
+        config.ifmapSramKb = rng.uniformInt(1, 512);
+        config.filterSramKb = rng.uniformInt(1, 512);
+        config.ofmapSramKb = rng.uniformInt(1, 512);
+        config.dataflow = static_cast<sys::Dataflow>(rng.uniformInt(0, 2));
+        config.dramBytesPerCycle = rng.uniformInt(1, 64);
+        config.bytesPerElement = 1 << rng.uniformInt(0, 2);
+        if (rng.bernoulli(0.5))
+            c.derate = rng.uniform(0.05, 1.0);
+        if (rng.bernoulli(0.7)) {
+            const int kernel = rng.uniformInt(1, 5);
+            c.layer = nn::conv2d("conv", kernel + rng.uniformInt(0, 40),
+                                 kernel + rng.uniformInt(0, 40),
+                                 rng.uniformInt(1, 48), kernel,
+                                 rng.uniformInt(1, 3),
+                                 rng.uniformInt(1, 96));
+        } else {
+            c.layer = nn::dense("fc", rng.uniformInt(1, 4096),
+                                rng.uniformInt(1, 512));
+        }
+        if (sys::foldGrid(c.layer.gemm(), config).foldCount() <= max_folds)
+            return c;
+    }
+}
+
+/** The case's parameters, for a failure message. */
+std::string
+describe(const TimelineCase &c)
+{
+    const nn::GemmShape gemm = c.layer.gemm();
+    return c.config.name() + " width " +
+           std::to_string(c.config.dramBytesPerCycle) + " bpe " +
+           std::to_string(c.config.bytesPerElement) + " derate " +
+           std::to_string(c.derate) + " gemm m" + std::to_string(gemm.m) +
+           " k" + std::to_string(gemm.k) + " n" + std::to_string(gemm.n);
+}
+
+/**
+ * Random boundaries of runs over @p length: 0, up to four inner
+ * boundaries, @p length.
+ */
+sys::FoldRuns
+randomRuns(autopilot::util::Rng &rng, std::int64_t length)
+{
+    std::vector<std::int64_t> at = {0, length};
+    for (int k = rng.uniformInt(0, 4); k > 0 && length > 1; --k)
+        at.push_back(rng.uniformInt(1, static_cast<int>(length) - 1));
+    std::sort(at.begin(), at.end());
+    at.erase(std::unique(at.begin(), at.end()), at.end());
+    sys::FoldRuns runs;
+    for (const std::int64_t boundary : at)
+        runs.at[static_cast<std::size_t>(runs.count++)] = boundary;
+    return runs;
+}
+
+/** Index of the run of @p runs that holds @p index. */
+int
+runOf(const sys::FoldRuns &runs, std::int64_t index)
+{
+    int r = 0;
+    while (runs.at[r + 1] <= index)
+        ++r;
+    return r;
+}
+
+/**
+ * Per-fold inputs with FoldTraffic's interface, drawn at random and
+ * constant on random runs of rows and of columns over a grid of full
+ * tiles. Unlike the traffic model's, the last fold may sit inside a
+ * long run, so the fast-forward's jumps decide the final writeback.
+ */
+struct RandomRunFolds
+{
+    sys::FoldGrid foldGrid;
+    sys::FoldRuns rows;
+    sys::FoldRuns cols;
+    std::vector<std::int64_t> fetch;     ///< Per (row run, column run).
+    std::vector<std::int64_t> writeback; ///< Per (row run, column run).
+
+    explicit RandomRunFolds(autopilot::util::Rng &rng)
+    {
+        foldGrid.peRows = rng.uniformInt(1, 40);
+        foldGrid.peCols = rng.uniformInt(1, 40);
+        foldGrid.rowFolds = rng.uniformInt(1, 80);
+        foldGrid.colFolds = rng.uniformInt(1, 80);
+        foldGrid.rowDim = foldGrid.rowFolds * foldGrid.peRows;
+        foldGrid.colDim = foldGrid.colFolds * foldGrid.peCols;
+        foldGrid.streamDim = rng.uniformInt(1, 300);
+        rows = randomRuns(rng, foldGrid.rowFolds);
+        cols = randomRuns(rng, foldGrid.colFolds);
+        for (int k = 0; k < (rows.count - 1) * (cols.count - 1); ++k) {
+            fetch.push_back(rng.bernoulli(0.2) ? 0
+                                               : rng.uniformInt(1, 6000));
+            writeback.push_back(
+                rng.bernoulli(0.3) ? 0 : rng.uniformInt(1, 6000));
+        }
+    }
+
+    std::size_t cell(std::int64_t i, std::int64_t j) const
+    {
+        return static_cast<std::size_t>(runOf(rows, i) * (cols.count - 1) +
+                                        runOf(cols, j));
+    }
+
+    const sys::FoldGrid &grid() const { return foldGrid; }
+    std::int64_t fetchBytes(std::int64_t i, std::int64_t j) const
+    {
+        return fetch[cell(i, j)];
+    }
+    std::int64_t writebackBytes(std::int64_t i, std::int64_t j) const
+    {
+        return writeback[cell(i, j)];
+    }
+    sys::FoldRuns rowRuns() const { return rows; }
+    sys::FoldRuns columnRuns(std::int64_t) const { return cols; }
+};
+
+} // namespace
+
+TEST(FoldTimelineDifferential, FlatLayerMatchesSteppedTimelineExactly)
+{
+    autopilot::util::Rng rng(20221001);
+    int residency_seen[2][2][2] = {};
+    int dataflow_seen[3] = {};
+    int derated = 0;
+    for (int n = 0; n < 12000; ++n) {
+        const TimelineCase c = randomTimelineCase(rng, 6000);
+        const sys::FlatChannel channel(c.config.dramBytesPerCycle,
+                                       c.derate);
+        const sys::LayerResult stepped =
+            sys::runFoldTimeline(c.layer, c.config, channel);
+        const sys::LayerResult fast =
+            sys::runFlatLayer(c.layer, c.config, c.derate);
+        ASSERT_EQ(fast.totalCycles, stepped.totalCycles) << describe(c);
+        ASSERT_EQ(fast.computeCycles, stepped.computeCycles) << describe(c);
+        ASSERT_EQ(fast.stallCycles, stepped.stallCycles) << describe(c);
+        ASSERT_EQ(fast.rowFolds, stepped.rowFolds) << describe(c);
+        ASSERT_EQ(fast.colFolds, stepped.colFolds) << describe(c);
+        ASSERT_TRUE(fast.traffic == stepped.traffic) << describe(c);
+
+        const sys::Residency residency =
+            sys::analyzeResidency(c.layer, c.config);
+        ++residency_seen[residency.ifmapResident][residency.filterResident]
+                        [residency.psumOnChip];
+        ++dataflow_seen[static_cast<int>(c.config.dataflow)];
+        derated += c.derate < 1.0;
+    }
+    for (const auto &filter : residency_seen)
+        for (const auto &psum : filter)
+            for (const int seen : psum)
+                EXPECT_GT(seen, 0) << "a residency case never occurred";
+    for (const int seen : dataflow_seen)
+        EXPECT_GT(seen, 0);
+    EXPECT_GT(derated, 0);
+}
+
+TEST(FoldTimelineDifferential, FastForwardMatchesSteppingOnAnyRuns)
+{
+    autopilot::util::Rng rng(20221002);
+    for (int n = 0; n < 4000; ++n) {
+        const RandomRunFolds folds(rng);
+        const sys::FlatChannel channel(
+            rng.uniformInt(1, 64),
+            rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.05, 1.0));
+        const sys::TimelineCycles stepped =
+            sys::stepTimeline(folds, channel);
+        const sys::TimelineCycles fast =
+            sys::fastForwardTimeline(folds, channel);
+        ASSERT_EQ(fast.total, stepped.total) << "case " << n;
+        ASSERT_EQ(fast.busy, stepped.busy) << "case " << n;
+    }
 }

@@ -9,21 +9,22 @@
 #include <gtest/gtest.h>
 
 #include "nn/layer.h"
-#include "systolic/functional.h"
+#include "oracle/systolic_functional.h"
 #include "systolic/tiling.h"
 #include "util/rng.h"
 
 namespace sys = autopilot::systolic;
+namespace oracle = autopilot::systolic::oracle;
 namespace nn = autopilot::nn;
 using autopilot::util::Rng;
 
 namespace
 {
 
-sys::IntMatrix
+oracle::IntMatrix
 randomMatrix(std::int64_t rows, std::int64_t cols, Rng &rng)
 {
-    sys::IntMatrix m(rows, cols);
+    oracle::IntMatrix m(rows, cols);
     for (std::int64_t r = 0; r < rows; ++r)
         for (std::int64_t c = 0; c < cols; ++c)
             m.at(r, c) = rng.uniformInt(-128, 127); // INT8 operands.
@@ -35,10 +36,10 @@ randomMatrix(std::int64_t rows, std::int64_t cols, Rng &rng)
 TEST(Functional, ReferenceGemmKnownValues)
 {
     // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50].
-    sys::IntMatrix a(2, 2), b(2, 2);
+    oracle::IntMatrix a(2, 2), b(2, 2);
     a.at(0, 0) = 1; a.at(0, 1) = 2; a.at(1, 0) = 3; a.at(1, 1) = 4;
     b.at(0, 0) = 5; b.at(0, 1) = 6; b.at(1, 0) = 7; b.at(1, 1) = 8;
-    const sys::IntMatrix c = sys::referenceGemm(a, b);
+    const oracle::IntMatrix c = oracle::referenceGemm(a, b);
     EXPECT_EQ(c.at(0, 0), 19);
     EXPECT_EQ(c.at(0, 1), 22);
     EXPECT_EQ(c.at(1, 0), 43);
@@ -48,11 +49,11 @@ TEST(Functional, ReferenceGemmKnownValues)
 TEST(Functional, SingleFoldExactFit)
 {
     Rng rng(1);
-    const sys::IntMatrix a = randomMatrix(5, 8, rng);  // M=5, K=8.
-    const sys::IntMatrix b = randomMatrix(8, 4, rng);  // K=8, N=4.
-    const auto result = sys::runWeightStationaryGemm(a, b, 8, 4);
+    const oracle::IntMatrix a = randomMatrix(5, 8, rng);  // M=5, K=8.
+    const oracle::IntMatrix b = randomMatrix(8, 4, rng);  // K=8, N=4.
+    const auto result = oracle::runWeightStationaryGemm(a, b, 8, 4);
     EXPECT_EQ(result.foldCount, 1);
-    const sys::IntMatrix expected = sys::referenceGemm(a, b);
+    const oracle::IntMatrix expected = oracle::referenceGemm(a, b);
     EXPECT_EQ(result.output.data, expected.data);
     // 2*K + N + M - 2 for one full fold.
     EXPECT_EQ(result.totalCycles, 2 * 8 + 4 + 5 - 2);
@@ -70,12 +71,12 @@ TEST_P(FunctionalSweep, BitExactAndCycleExact)
     const auto [m, k, n, pe_rows, pe_cols] = GetParam();
     Rng rng(static_cast<std::uint64_t>(m) * 1000003 + k * 1009 +
             n * 101 + pe_rows * 7 + pe_cols);
-    const sys::IntMatrix a = randomMatrix(m, k, rng);
-    const sys::IntMatrix b = randomMatrix(k, n, rng);
+    const oracle::IntMatrix a = randomMatrix(m, k, rng);
+    const oracle::IntMatrix b = randomMatrix(k, n, rng);
 
     const auto result =
-        sys::runWeightStationaryGemm(a, b, pe_rows, pe_cols);
-    const sys::IntMatrix expected = sys::referenceGemm(a, b);
+        oracle::runWeightStationaryGemm(a, b, pe_rows, pe_cols);
+    const oracle::IntMatrix expected = oracle::referenceGemm(a, b);
     ASSERT_EQ(result.output.rows, expected.rows);
     ASSERT_EQ(result.output.cols, expected.cols);
     EXPECT_EQ(result.output.data, expected.data);
@@ -114,10 +115,10 @@ TEST(Functional, ConvLayerLoweredGemmMatches)
     const nn::Layer conv = nn::conv2d("c", 8, 8, 3, 3, 1, 5);
     const nn::GemmShape gemm = conv.gemm();
     Rng rng(42);
-    const sys::IntMatrix a = randomMatrix(gemm.m, gemm.k, rng);
-    const sys::IntMatrix b = randomMatrix(gemm.k, gemm.n, rng);
-    const auto result = sys::runWeightStationaryGemm(a, b, 16, 16);
-    EXPECT_EQ(result.output.data, sys::referenceGemm(a, b).data);
+    const oracle::IntMatrix a = randomMatrix(gemm.m, gemm.k, rng);
+    const oracle::IntMatrix b = randomMatrix(gemm.k, gemm.n, rng);
+    const auto result = oracle::runWeightStationaryGemm(a, b, 16, 16);
+    EXPECT_EQ(result.output.data, oracle::referenceGemm(a, b).data);
 }
 
 TEST(Functional, AccumulationAcrossRowFoldsIsExact)
@@ -125,11 +126,11 @@ TEST(Functional, AccumulationAcrossRowFoldsIsExact)
     // K much larger than the array: partial sums must accumulate
     // exactly across many row folds.
     Rng rng(7);
-    const sys::IntMatrix a = randomMatrix(6, 70, rng);
-    const sys::IntMatrix b = randomMatrix(70, 6, rng);
-    const auto result = sys::runWeightStationaryGemm(a, b, 8, 8);
+    const oracle::IntMatrix a = randomMatrix(6, 70, rng);
+    const oracle::IntMatrix b = randomMatrix(70, 6, rng);
+    const auto result = oracle::runWeightStationaryGemm(a, b, 8, 8);
     EXPECT_EQ(result.foldCount, 9); // ceil(70/8) x ceil(6/8) = 9 x 1.
-    EXPECT_EQ(result.output.data, sys::referenceGemm(a, b).data);
+    EXPECT_EQ(result.output.data, oracle::referenceGemm(a, b).data);
 }
 
 /** Output-stationary execution must also be bit- and cycle-exact. */
@@ -144,12 +145,12 @@ TEST_P(FunctionalOsSweep, BitExactAndCycleExact)
     const auto [m, k, n, pe_rows, pe_cols] = GetParam();
     Rng rng(static_cast<std::uint64_t>(m) * 997 + k * 83 + n * 11 +
             pe_rows + pe_cols);
-    const sys::IntMatrix a = randomMatrix(m, k, rng);
-    const sys::IntMatrix b = randomMatrix(k, n, rng);
+    const oracle::IntMatrix a = randomMatrix(m, k, rng);
+    const oracle::IntMatrix b = randomMatrix(k, n, rng);
 
     const auto result =
-        sys::runOutputStationaryGemm(a, b, pe_rows, pe_cols);
-    EXPECT_EQ(result.output.data, sys::referenceGemm(a, b).data);
+        oracle::runOutputStationaryGemm(a, b, pe_rows, pe_cols);
+    EXPECT_EQ(result.output.data, oracle::referenceGemm(a, b).data);
 
     nn::GemmShape gemm;
     gemm.m = m;
@@ -175,10 +176,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Functional, InputStationaryBitAndCycleExact)
 {
     Rng rng(91);
-    const sys::IntMatrix a = randomMatrix(11, 19, rng);
-    const sys::IntMatrix b = randomMatrix(19, 13, rng);
-    const auto result = sys::runInputStationaryGemm(a, b, 8, 8);
-    EXPECT_EQ(result.output.data, sys::referenceGemm(a, b).data);
+    const oracle::IntMatrix a = randomMatrix(11, 19, rng);
+    const oracle::IntMatrix b = randomMatrix(19, 13, rng);
+    const auto result = oracle::runInputStationaryGemm(a, b, 8, 8);
+    EXPECT_EQ(result.output.data, oracle::referenceGemm(a, b).data);
 
     nn::GemmShape gemm;
     gemm.m = 11;
@@ -196,24 +197,24 @@ TEST(Functional, InputStationaryBitAndCycleExact)
 TEST(Functional, TransposeRoundTrip)
 {
     Rng rng(8);
-    const sys::IntMatrix m = randomMatrix(5, 9, rng);
-    const sys::IntMatrix round = sys::transposed(sys::transposed(m));
+    const oracle::IntMatrix m = randomMatrix(5, 9, rng);
+    const oracle::IntMatrix round = oracle::transposed(oracle::transposed(m));
     EXPECT_EQ(round.data, m.data);
 }
 
 TEST(Functional, WsAndOsAgreeNumerically)
 {
     Rng rng(55);
-    const sys::IntMatrix a = randomMatrix(14, 22, rng);
-    const sys::IntMatrix b = randomMatrix(22, 9, rng);
-    const auto ws = sys::runWeightStationaryGemm(a, b, 8, 8);
-    const auto os = sys::runOutputStationaryGemm(a, b, 8, 8);
+    const oracle::IntMatrix a = randomMatrix(14, 22, rng);
+    const oracle::IntMatrix b = randomMatrix(22, 9, rng);
+    const auto ws = oracle::runWeightStationaryGemm(a, b, 8, 8);
+    const auto os = oracle::runOutputStationaryGemm(a, b, 8, 8);
     EXPECT_EQ(ws.output.data, os.output.data);
 }
 
 TEST(FunctionalDeath, ShapeMismatchRejected)
 {
-    sys::IntMatrix a(2, 3), b(4, 2);
-    EXPECT_EXIT(sys::runWeightStationaryGemm(a, b, 8, 8),
+    oracle::IntMatrix a(2, 3), b(4, 2);
+    EXPECT_EXIT(oracle::runWeightStationaryGemm(a, b, 8, 8),
                 ::testing::ExitedWithCode(1), "shape mismatch");
 }

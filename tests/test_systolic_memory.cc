@@ -172,9 +172,9 @@ TEST_P(TrafficConservation, FoldSharesSumToTotals)
         std::int64_t fetch_sum = 0;
         std::int64_t writeback_sum = 0;
         for (std::int64_t f = 0; f < schedule.foldCount(); ++f) {
-            fetch_sum += sys::foldFetchBytes(layer, schedule, config, f);
+            fetch_sum += sys::foldFetchBytes(layer, config, f);
             writeback_sum +=
-                sys::foldWritebackBytes(layer, schedule, config, f);
+                sys::foldWritebackBytes(layer, config, f);
         }
         EXPECT_EQ(fetch_sum + writeback_sum, traffic.totalDramBytes())
             << layer.name << " on " << config.name();

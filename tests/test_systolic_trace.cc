@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "nn/e2e_template.h"
@@ -102,16 +103,50 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Trace, LastEventEndsAtCycleEngineTotal)
 {
-    // The trace's timeline is the CycleEngine timeline: the final event
-    // must not start after the engine's total cycle count.
-    const auto config =
-        makeConfig(32, 32, 256, sys::Dataflow::WeightStationary);
-    const nn::Layer fc = nn::dense("fc", 12288, 2048);
-    const sys::CycleEngine engine(config);
-    const auto result = engine.runLayer(fc);
-    const sys::LayerTrace trace = sys::traceLayer(fc, config);
-    for (const sys::TraceEvent &event : trace.events)
-        EXPECT_LE(event.startCycle, result.totalCycles);
+    // The trace steps every fold of the timeline; CycleEngine
+    // fast-forwards it. The layer retires when the last compute or the
+    // last writeback ends, so the latest event end in the trace must be
+    // the engine's total cycle count exactly.
+    const nn::Layer layers[] = {
+        nn::dense("fc", 12288, 2048),
+        nn::dense("fc_odd", 1000, 300),
+        nn::conv2d("conv", 21, 19, 13, 3, 1, 37),
+        nn::conv2d("conv_s2", 40, 40, 8, 5, 2, 70),
+    };
+    const int shapes[][2] = {{32, 32}, {13, 7}, {1, 40}, {40, 3}, {24, 17}};
+    for (const sys::Dataflow dataflow :
+         {sys::Dataflow::WeightStationary, sys::Dataflow::OutputStationary,
+          sys::Dataflow::InputStationary}) {
+        for (const auto &shape : shapes) {
+            for (const int sram_kb : {4, 256}) {
+                const auto config =
+                    makeConfig(shape[0], shape[1], sram_kb, dataflow);
+                const sys::CycleEngine engine(config);
+                for (const nn::Layer &layer : layers) {
+                    const sys::FoldGrid grid =
+                        sys::foldGrid(layer.gemm(), config);
+                    if (grid.foldCount() > 100000)
+                        continue; // Keeps the trace's event list small.
+                    const std::int64_t width = config.dramBytesPerCycle;
+                    std::int64_t last_end = 0;
+                    for (const sys::TraceEvent &event :
+                         sys::traceLayer(layer, config).events) {
+                        std::int64_t end = event.startCycle;
+                        if (event.kind == sys::TraceEventKind::SramRead)
+                            end += grid.cycles(
+                                event.foldIndex / grid.colFolds,
+                                event.foldIndex % grid.colFolds);
+                        else if (event.kind ==
+                                 sys::TraceEventKind::DramWriteback)
+                            end += (event.amount + width - 1) / width;
+                        last_end = std::max(last_end, end);
+                    }
+                    EXPECT_EQ(last_end, engine.runLayer(layer).totalCycles)
+                        << layer.name << " on " << config.name();
+                }
+            }
+        }
+    }
 }
 
 TEST(Trace, CsvOutputWellFormed)
