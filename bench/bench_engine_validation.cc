@@ -86,14 +86,14 @@ main()
         const auto ws = oracle::runWeightStationaryGemm(a, b, pe, pe);
         exact_ws +=
             (ws.totalCycles ==
-             systolic::scheduleGemm(gemm, config).computeCycles()) &&
+             systolic::foldGrid(gemm, config).computeCycles()) &&
             (ws.output.data == oracle::referenceGemm(a, b).data);
 
         config.dataflow = systolic::Dataflow::OutputStationary;
         const auto os = oracle::runOutputStationaryGemm(a, b, pe, pe);
         exact_os +=
             (os.totalCycles ==
-             systolic::scheduleGemm(gemm, config).computeCycles()) &&
+             systolic::foldGrid(gemm, config).computeCycles()) &&
             (os.output.data == oracle::referenceGemm(a, b).data);
     }
     std::cout << "WS: " << exact_ws << "/" << gemm_trials

@@ -29,10 +29,8 @@
 #include "io/journal.h"
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
-#include "systolic/compiled_plan.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
-#include "util/arena.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -64,47 +62,6 @@ BM_AnalyticalEngineFullModel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AnalyticalEngineFullModel);
-
-/**
- * The SoA batch kernel alone (no power stack, no backend plumbing):
- * 128 hardware-space configurations costed against one compiled plan
- * from a warm arena. Compare items/s against
- * BM_AnalyticalEngineFullModel for the kernel-level speedup.
- */
-void
-BM_CompiledPlanBatch128(benchmark::State &state)
-{
-    const nn::Model model = nn::buildE2EModel({7, 48});
-    const systolic::CompiledModelPlan plan =
-        systolic::CompiledModelPlan::compile(model);
-    const systolic::HardwareSpace space;
-    util::Rng rng(0x91A4ull);
-    std::vector<systolic::AcceleratorConfig> configs;
-    for (int i = 0; i < 128; ++i) {
-        systolic::AcceleratorConfig cfg;
-        cfg.peRows =
-            space.peRowChoices[rng.index(space.peRowChoices.size())];
-        cfg.peCols =
-            space.peColChoices[rng.index(space.peColChoices.size())];
-        cfg.ifmapSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        cfg.filterSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        cfg.ofmapSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        configs.push_back(cfg);
-    }
-    util::Arena arena;
-    for (auto _ : state) {
-        arena.reset();
-        const systolic::BatchRunView view =
-            systolic::evaluatePlanBatch(plan, configs, arena);
-        benchmark::DoNotOptimize(view.totalCycles.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(configs.size()));
-}
-BENCHMARK(BM_CompiledPlanBatch128);
 
 void
 BM_CycleEngineFullModel(benchmark::State &state)

@@ -11,10 +11,8 @@
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
 #include "power/soc_power.h"
-#include "systolic/compiled_plan.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
 
@@ -115,25 +113,6 @@ countBatch(const std::string &backend, std::size_t points)
     }
     return &telemetry.metrics().histogram("dse.simulate_s");
 }
-
-/**
- * Per-worker scratch for the SoA batch kernel. One arena per thread
- * keeps the bump path lock-free; after the first few chunks each
- * worker's arena is warm and batch evaluation stops touching the heap.
- */
-util::Arena &
-scratchArena()
-{
-    static thread_local util::Arena arena(256 * 1024);
-    return arena;
-}
-
-/**
- * Chunk size of the batched analytical path: large enough to amortize
- * the per-chunk arena reset and SoA setup, small enough that a
- * DSE-sized batch still spreads across pool workers.
- */
-constexpr std::size_t kAnalyticalChunk = 32;
 
 } // namespace
 
@@ -248,164 +227,21 @@ makeBackend(const std::string &name, const BackendContext &context)
 
 // ----------------------------------------------------- concrete backends ----
 
-/// Compiled plans keyed by (numConvLayers, numFilters). The policy
-/// space is tiny (27 combinations), so the cache never evicts; plans
-/// are built on first use behind the mutex and read lock-free via
-/// stable pointers afterwards.
-struct AnalyticalBackend::PlanCache
-{
-    std::mutex mutex;
-    std::map<std::pair<int, int>,
-             std::unique_ptr<systolic::CompiledModelPlan>>
-        byPolicy;
-};
-
 AnalyticalBackend::AnalyticalBackend(const BackendContext &context,
                                      std::string name)
-    : ctx(context), label(std::move(name)),
-      plans(std::make_unique<PlanCache>())
+    : ctx(context), label(std::move(name))
 {
     checkContext(ctx, "AnalyticalBackend");
 }
 
-AnalyticalBackend::~AnalyticalBackend() = default;
-
 Evaluation
 AnalyticalBackend::evaluate(const DesignPoint &point)
 {
-    // The scalar reference path: a fresh engine per point, exactly the
-    // historical compute() sequence. The batch path below must stay
-    // bit-identical to this (test_batch_kernel.cc pins it).
     const systolic::AnalyticalEngine engine(point.accel);
     Evaluation evaluation = evaluateWithEngine(engine, point, ctx, 0.0);
     evaluation.fidelity = Fidelity::Analytical;
     evaluation.backend = label;
     return evaluation;
-}
-
-void
-AnalyticalBackend::batchEvaluate(std::span<const DesignPoint> points,
-                                 util::ThreadPool *pool,
-                                 const CommitFn &commit,
-                                 util::Histogram *chunk_hist,
-                                 const char *span_name)
-{
-    if (points.empty())
-        return;
-
-    // --- Group by policy (first-appearance order; <= 27 groups) ---
-    // One database lookup and one compiled plan per distinct policy
-    // instead of per point.
-    struct Group
-    {
-        const systolic::CompiledModelPlan *plan = nullptr;
-        double successRate = 0.0;
-        std::vector<std::uint32_t> indices;
-    };
-    std::vector<Group> groups;
-    std::map<std::pair<int, int>, std::size_t> groupIndex;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const nn::PolicyHyperParams &policy = points[i].policy;
-        const std::pair<int, int> key{policy.numConvLayers,
-                                      policy.numFilters};
-        auto [it, inserted] = groupIndex.try_emplace(key, groups.size());
-        if (inserted) {
-            Group group;
-            group.successRate = phase1SuccessRate(ctx, policy);
-            {
-                std::lock_guard<std::mutex> lock(plans->mutex);
-                auto &slot = plans->byPolicy[key];
-                if (!slot) {
-                    slot = std::make_unique<systolic::CompiledModelPlan>(
-                        systolic::CompiledModelPlan::compile(
-                            nn::buildE2EModel(policy)));
-                }
-                group.plan = slot.get();
-            }
-            groups.push_back(std::move(group));
-        }
-        groups[it->second].indices.push_back(
-            static_cast<std::uint32_t>(i));
-    }
-
-    // --- Chunked fan-out: each chunk runs the SoA kernel over its
-    // slice from a thread-local arena ---
-    struct Chunk
-    {
-        std::uint32_t group = 0;
-        std::uint32_t begin = 0;
-        std::uint32_t end = 0;
-    };
-    std::vector<Chunk> chunks;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const std::size_t n = groups[g].indices.size();
-        for (std::size_t b = 0; b < n; b += kAnalyticalChunk) {
-            chunks.push_back(
-                {static_cast<std::uint32_t>(g),
-                 static_cast<std::uint32_t>(b),
-                 static_cast<std::uint32_t>(
-                     std::min(n, b + kAnalyticalChunk))});
-        }
-    }
-
-    util::parallel_for(pool, chunks.size(), [&](std::size_t ci) {
-        const Chunk &chunk = chunks[ci];
-        const Group &group = groups[chunk.group];
-        const std::size_t count = chunk.end - chunk.begin;
-
-        util::TraceSpan span(span_name, "dse");
-        util::ScopedTimer timer(chunk_hist);
-
-        util::Arena &arena = scratchArena();
-        arena.reset();
-        const std::span<systolic::AcceleratorConfig> configs =
-            arena.allocate<systolic::AcceleratorConfig>(count);
-        for (std::size_t j = 0; j < count; ++j)
-            configs[j] = points[group.indices[chunk.begin + j]].accel;
-
-        const systolic::BatchRunView run =
-            systolic::evaluatePlanBatch(*group.plan, configs, arena);
-        const std::span<double> npu_w = arena.allocate<double>(count);
-        const std::span<double> soc_w = arena.allocate<double>(count);
-        power::batchNpuSocPowerW(configs, run.totalMacs, run.totalCycles,
-                                 run.traffic, npu_w, soc_w);
-
-        for (std::size_t j = 0; j < count; ++j) {
-            const std::size_t i = group.indices[chunk.begin + j];
-            Evaluation evaluation;
-            evaluation.point = points[i];
-            // Per point, not per group: the group shares a policy but
-            // its points may carry different precisions. Verbatim at
-            // int8, so the batch path stays bit-identical to scalar.
-            evaluation.successRate = airlearning::quantizedSuccessRate(
-                group.successRate, points[i].policy,
-                points[i].accel.bytesPerElement);
-            evaluation.npuPowerW = npu_w[j];
-            evaluation.socPowerW = soc_w[j];
-            // Same expressions as RunResult::runtimeSeconds /
-            // framesPerSecond at this clock.
-            const double seconds =
-                static_cast<double>(run.totalCycles[j]) /
-                (points[i].accel.clockGhz * 1e9);
-            evaluation.latencyMs = seconds * 1e3;
-            evaluation.fps = seconds > 0.0 ? 1.0 / seconds : 0.0;
-            evaluation.objectives = {1.0 - evaluation.successRate,
-                                     evaluation.socPowerW,
-                                     evaluation.latencyMs};
-            evaluation.fidelity = Fidelity::Analytical;
-            evaluation.backend = label;
-            commit(i, std::move(evaluation));
-        }
-    });
-}
-
-void
-AnalyticalBackend::evaluateBatch(std::span<const DesignPoint> points,
-                                 util::ThreadPool *pool,
-                                 const CommitFn &commit)
-{
-    batchEvaluate(points, pool, commit, countBatch(label, points.size()),
-                  "dse.simulate");
 }
 
 void
@@ -416,12 +252,11 @@ AnalyticalBackend::screenBatch(std::span<const DesignPoint> points,
 {
     util::panicIf(out.size() != points.size(),
                   "AnalyticalBackend::screenBatch: output size mismatch");
-    batchEvaluate(
-        points, pool,
-        [&out](std::size_t i, Evaluation &&evaluation) {
-            out[i] = std::move(evaluation);
-        },
-        screen_hist, "dse.screen");
+    util::parallel_for(pool, points.size(), [&](std::size_t i) {
+        util::TraceSpan span("dse.screen", "dse");
+        util::ScopedTimer timer(screen_hist);
+        out[i] = evaluate(points[i]);
+    });
 }
 
 // ------------------------------------------------------- cycle timeline ----
@@ -642,8 +477,6 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
     util::Histogram *simulate_hist = countBatch(name(), points.size());
 
     // --- 1. Analytical screen (parallel; pure per point) ---
-    // Rides the compiled-plan SoA batch kernel; bit-identical to
-    // screening each point with screen.evaluate().
     std::vector<Evaluation> screenedEvals(points.size());
     {
         util::TraceSpan span("dse.tiered.screen", "dse");

@@ -50,11 +50,9 @@
  * Telemetry: with the global util::Telemetry enabled each batch bumps
  * "dse.backend.<name>.points"; the tiered backend additionally counts
  * "dse.tiered.screened" / "dse.tiered.promoted" and wraps its screening
- * pass in a "dse.tiered.screen" trace span. Granularity caveat: the
- * analytical batch path processes points in SoA chunks, so its
- * "dse.simulate" spans and "dse.simulate_s" / "dse.screen_s" samples
- * cover one chunk (up to 32 points) each; the cycle-engine backends
- * keep per-point samples.
+ * pass in a "dse.tiered.screen" trace span. Every backend evaluates
+ * point by point, so each "dse.simulate" / "dse.screen" span and each
+ * "dse.simulate_s" / "dse.screen_s" sample covers one point.
  */
 
 #ifndef AUTOPILOT_DSE_EVAL_BACKEND_H
@@ -204,16 +202,9 @@ std::unique_ptr<EvalBackend> makeBackend(const std::string &name,
                                          const BackendContext &context);
 
 /**
- * Closed-form engine + power stack (the historical compute() path).
- *
- * evaluate() is the scalar reference implementation (fresh
- * AnalyticalEngine per point, exactly the pre-batch-kernel sequence).
- * evaluateBatch() runs the raw-speed path instead: points are grouped
- * by policy, each group costed against a cached
- * systolic::CompiledModelPlan by the SoA batch kernel with per-worker
- * thread-local util::Arena scratch, then lowered through the batched
- * power entry point - bit-identical to the scalar path by construction
- * and pinned by test_batch_kernel.cc / test_backends.cc.
+ * Closed-form engine + power stack (the historical compute() path): a
+ * fresh AnalyticalEngine per point, batched through the default
+ * per-point evaluateBatch().
  *
  * Registered as "analytical" and as "quantized"; the two differ only in
  * the name rows archive.
@@ -223,39 +214,24 @@ class AnalyticalBackend : public EvalBackend
   public:
     explicit AnalyticalBackend(const BackendContext &context,
                                std::string name = "analytical");
-    ~AnalyticalBackend() override;
 
     std::string name() const override { return label; }
     Fidelity fidelity() const override { return Fidelity::Analytical; }
     Evaluation evaluate(const DesignPoint &point) override;
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
 
     /**
-     * The batch path with screening instrumentation: identical results
-     * to evaluateBatch() (fidelity Analytical), but chunk timings go to
-     * @p screen_hist and the per-chunk trace spans are named
-     * "dse.screen". Used by TieredBackend's screen tier so the tiered
-     * pipeline rides the same SoA kernel.
+     * evaluate() every point into the matching slot of @p out, in
+     * parallel on @p pool, each under a "dse.screen" trace span and
+     * timed into @p screen_hist (may be null). TieredBackend's screen
+     * tier.
      */
     void screenBatch(std::span<const DesignPoint> points,
                      util::ThreadPool *pool, std::span<Evaluation> out,
                      util::Histogram *screen_hist);
 
   private:
-    struct PlanCache;
-
-    void batchEvaluate(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool, const CommitFn &commit,
-                       util::Histogram *chunk_hist,
-                       const char *span_name);
-
     BackendContext ctx;
     std::string label;
-    /// Compiled plans per policy (<= |PolicySpace| = 27 entries),
-    /// built on first use behind a mutex.
-    std::unique_ptr<PlanCache> plans;
 };
 
 /** How a CycleTimelineBackend models the NPU's DRAM channel. */

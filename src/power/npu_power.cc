@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "power/soc_power.h"
 #include "util/logging.h"
 
 namespace autopilot::power
@@ -23,17 +22,8 @@ NpuPowerBreakdown
 NpuPowerModel::estimate(const systolic::RunResult &run,
                         double backgroundBytesPerSec) const
 {
-    return estimateCounts(run.totalMacs, run.totalCycles, run.traffic,
-                          backgroundBytesPerSec);
-}
-
-NpuPowerBreakdown
-NpuPowerModel::estimateCounts(std::int64_t total_macs,
-                              std::int64_t total_cycles,
-                              const systolic::LayerTraffic &traffic,
-                              double backgroundBytesPerSec) const
-{
-    util::fatalIf(total_cycles <= 0,
+    const systolic::LayerTraffic &traffic = run.traffic;
+    util::fatalIf(run.totalCycles <= 0,
                   "NpuPowerModel::estimate: empty run result");
     util::fatalIf(!(backgroundBytesPerSec >= 0.0) ||
                       !std::isfinite(backgroundBytesPerSec),
@@ -42,7 +32,7 @@ NpuPowerModel::estimateCounts(std::int64_t total_macs,
 
     // Same expression as RunResult::runtimeSeconds at this clock.
     const double seconds =
-        static_cast<double>(total_cycles) / (cfg.clockGhz * 1e9);
+        static_cast<double>(run.totalCycles) / (cfg.clockGhz * 1e9);
     const double pj_to_w = 1e-12 / seconds;
     // A huge clock against a tiny cycle count makes `seconds` denormal
     // (or, through upstream arithmetic bugs, zero/NaN) and `pj_to_w`
@@ -60,7 +50,7 @@ NpuPowerModel::estimateCounts(std::int64_t total_macs,
     // the traffic side already charged bytesPerElement while every MAC
     // was billed at the INT8 constant, silently under-charging any
     // non-int8 configuration.
-    breakdown.peDynamicW = static_cast<double>(total_macs) *
+    breakdown.peDynamicW = static_cast<double>(run.totalMacs) *
                            peModel.macEnergyPj(cfg.bytesPerElement) *
                            pj_to_w;
     breakdown.peLeakageW = peModel.arrayLeakageMw(cfg.peCount()) * 1e-3;
@@ -107,33 +97,6 @@ NpuPowerModel::averagePowerW(const systolic::RunResult &run,
                              double backgroundBytesPerSec) const
 {
     return estimate(run, backgroundBytesPerSec).totalW();
-}
-
-void
-batchNpuSocPowerW(std::span<const systolic::AcceleratorConfig> configs,
-                  std::span<const std::int64_t> total_macs,
-                  std::span<const std::int64_t> total_cycles,
-                  std::span<const systolic::LayerTraffic> traffic,
-                  std::span<double> npu_w, std::span<double> soc_w,
-                  double backgroundBytesPerSec, const TechnologyNode &node)
-{
-    util::panicIf(total_macs.size() != configs.size() ||
-                      total_cycles.size() != configs.size() ||
-                      traffic.size() != configs.size() ||
-                      npu_w.size() != configs.size() ||
-                      soc_w.size() != configs.size(),
-                  "batchNpuSocPowerW: span size mismatch");
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        // Constructing the model per design mirrors the scalar path
-        // (evaluateWithEngine builds a fresh NpuPowerModel per point);
-        // the sub-model setup is cheap arithmetic, no heap.
-        const NpuPowerModel model(configs[i], node);
-        npu_w[i] = model
-                       .estimateCounts(total_macs[i], total_cycles[i],
-                                       traffic[i], backgroundBytesPerSec)
-                       .totalW();
-        soc_w[i] = socPower(npu_w[i]).totalW();
-    }
 }
 
 } // namespace autopilot::power

@@ -11,9 +11,6 @@
 #ifndef AUTOPILOT_POWER_NPU_POWER_H
 #define AUTOPILOT_POWER_NPU_POWER_H
 
-#include <cstdint>
-#include <span>
-
 #include "power/dram_model.h"
 #include "power/pe_model.h"
 #include "power/sram_model.h"
@@ -71,23 +68,6 @@ class NpuPowerModel
     NpuPowerBreakdown estimate(const systolic::RunResult &run,
                                double backgroundBytesPerSec = 0.0) const;
 
-    /**
-     * estimate() on bare run aggregates instead of a RunResult struct -
-     * the entry point the SoA batch pipeline uses (its kernel never
-     * materializes RunResults). estimate() delegates here, so the two
-     * paths share one arithmetic sequence and stay bit-identical by
-     * construction.
-     *
-     * @param total_macs   Useful MACs of the run.
-     * @param total_cycles End-to-end cycles of the run (> 0).
-     * @param traffic      Whole-run accumulated memory activity.
-     * @param backgroundBytesPerSec As for estimate().
-     */
-    NpuPowerBreakdown
-    estimateCounts(std::int64_t total_macs, std::int64_t total_cycles,
-                   const systolic::LayerTraffic &traffic,
-                   double backgroundBytesPerSec = 0.0) const;
-
     /** Average total power in watts (convenience). */
     double averagePowerW(const systolic::RunResult &run,
                          double backgroundBytesPerSec = 0.0) const;
@@ -108,25 +88,6 @@ class NpuPowerModel
     static constexpr double controllerBaseW = 0.10;
     static constexpr double glueMargin = 1.15;
 };
-
-/**
- * Batched NPU + SoC power over SoA run aggregates: for each design i,
- * npu_w[i] receives the NPU average power and soc_w[i] the full-SoC
- * total (power::socPower over the NPU number, fixed components
- * default). Consumes the batch kernel's arrays directly - no
- * intermediate RunResult or breakdown structs - and performs, per
- * design, exactly the scalar NpuPowerModel(config).estimateCounts()
- * sequence, so results are bit-identical to the one-at-a-time path.
- *
- * All spans must have equal length; total_cycles entries must be > 0.
- */
-void batchNpuSocPowerW(std::span<const systolic::AcceleratorConfig> configs,
-                       std::span<const std::int64_t> total_macs,
-                       std::span<const std::int64_t> total_cycles,
-                       std::span<const systolic::LayerTraffic> traffic,
-                       std::span<double> npu_w, std::span<double> soc_w,
-                       double backgroundBytesPerSec = 0.0,
-                       const TechnologyNode &node = referenceNode());
 
 } // namespace autopilot::power
 

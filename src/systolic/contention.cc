@@ -40,15 +40,22 @@ std::string
 ContentionProfile::infeasibleReason(const AcceleratorConfig &config) const
 {
     std::string reason = invalidReason();
-    if (!reason.empty() || derate(config) > 0.0)
+    const double share = derate(config);
+    if (!reason.empty() || share >= minDerate)
         return reason;
     std::ostringstream what;
-    what << "no DRAM bandwidth left to the NPU (background "
-         << totalBytesPerSec() << " B/s >= peak "
-         << static_cast<double>(config.dramBytesPerCycle) *
-                config.clockGhz * 1e9
-         << " B/s and no QoS floor) - raise npuFloorFraction or lower "
-            "the background load";
+    if (share > 0.0)
+        what << "NPU bandwidth share " << share << " below the minimum "
+             << minDerate << " (background " << totalBytesPerSec()
+             << " B/s, QoS floor " << npuFloorFraction
+             << ") - cycle counts would overflow";
+    else
+        what << "no DRAM bandwidth left to the NPU (background "
+             << totalBytesPerSec() << " B/s >= peak "
+             << static_cast<double>(config.dramBytesPerCycle) *
+                    config.clockGhz * 1e9
+             << " B/s and no QoS floor)";
+    what << " - raise npuFloorFraction or lower the background load";
     return what.str();
 }
 

@@ -62,10 +62,30 @@ struct ContentionProfile
     std::string invalidReason() const;
 
     /**
+     * Smallest derate the cycle engine simulates. A FlatChannel transfer
+     * of B bytes at width w and derate d takes ceil(B / (w d)) cycles,
+     * cast to int64, and the fast-forwarded timeline adds whole runs of
+     * such durations at once (rest * delta). Every one of those values
+     * is at most the run's final cycle count T_d, so T_d < 2^63 keeps
+     * them all in range. At any cycle before the layer retires the
+     * channel or the array is busy, so T_d <= C + N + sum B_t / (w d),
+     * for compute cycles C and N <= 2C transfers. The ideal channel
+     * serializes the same transfers, so sum B_t / w <= T_1 and
+     * T_d <= 3C + T_1 / d <= (3 + 1 / d) T_1. With d >= 2^-20 every
+     * cycle count fits whenever the ideal run takes under 2^42 cycles:
+     * about six hours at the 200 MHz default, and some 4e4 times the
+     * slowest design point of the bundled policy space (about 1e8
+     * cycles, on an 8x8 array with 32 KB scratchpads and 4-byte
+     * operands). A smaller derate (a QoS floor of 1e-15, say) overflowed
+     * int64 instead of costing a slower design.
+     */
+    static constexpr double minDerate = 1.0 / (1 << 20);
+
+    /**
      * "" when the cycle engine can simulate the profile on @p config,
-     * else a named diagnosis: invalidReason(), or a derate <= 0 (the
+     * else a named diagnosis: invalidReason(), a derate <= 0 (the
      * background load reaches @p config's peak bandwidth and there is
-     * no QoS floor).
+     * no QoS floor), or a derate below minDerate.
      */
     std::string infeasibleReason(const AcceleratorConfig &config) const;
 

@@ -68,11 +68,13 @@ class FlatChannel
   public:
     /**
      * @param bytesPerCycle Channel width.
-     * @param derate        Effective-bandwidth fraction left to the NPU
-     *                      (> 0). At >= 1 a transfer takes the exact
-     *                      integer ceiling of bytes / width, so an empty
-     *                      contention profile is bit-identical to none;
-     *                      below 1 it takes ceil(bytes / (width * derate)).
+     * @param derate        Effective-bandwidth fraction left to the NPU,
+     *                      at least ContentionProfile::minDerate so
+     *                      cycle counts fit int64 (see there). At >= 1
+     *                      a transfer takes the exact integer ceiling of
+     *                      bytes / width, so an empty contention
+     *                      profile is bit-identical to none; below 1 it
+     *                      takes ceil(bytes / (width * derate)).
      */
     explicit FlatChannel(std::int64_t bytesPerCycle, double derate = 1.0)
         : bw(bytesPerCycle), derate(derate)

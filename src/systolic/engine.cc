@@ -88,22 +88,20 @@ AnalyticalEngine::AnalyticalEngine(const AcceleratorConfig &config)
 LayerResult
 AnalyticalEngine::runLayer(const nn::Layer &layer) const
 {
-    const FoldSchedule schedule = scheduleGemm(layer.gemm(), cfg);
+    const FoldTraffic folds(layer, cfg);
 
     LayerResult result;
     result.layerName = layer.name;
     result.gemm = layer.gemm();
-    result.rowFolds = schedule.rowFolds;
-    result.colFolds = schedule.colFolds;
-    result.computeCycles = schedule.computeCycles();
-    result.traffic = computeTraffic(layer, schedule, cfg);
+    result.rowFolds = folds.grid().rowFolds;
+    result.colFolds = folds.grid().colFolds;
+    result.computeCycles = folds.grid().computeCycles();
+    result.traffic = folds.totals();
 
-    const std::int64_t dram_bytes = result.traffic.totalDramBytes();
+    const std::int64_t bw = cfg.dramBytesPerCycle;
     const std::int64_t dram_cycles =
-        (dram_bytes + cfg.dramBytesPerCycle - 1) / cfg.dramBytesPerCycle;
-    const std::int64_t first_tile =
-        (foldFetchBytes(layer, cfg, 0) + cfg.dramBytesPerCycle - 1) /
-        cfg.dramBytesPerCycle;
+        (result.traffic.totalDramBytes() + bw - 1) / bw;
+    const std::int64_t first_tile = (folds.fetchBytes(0, 0) + bw - 1) / bw;
 
     result.totalCycles =
         std::max(result.computeCycles, dram_cycles) + first_tile;

@@ -5,8 +5,13 @@
  * Engines share one result format:
  *
  *  - AnalyticalEngine: closed-form per-layer timing
- *    (max(compute, DRAM-transfer) plus first-tile latency). Fast; used
- *    inside the Phase 2 design-space exploration loop.
+ *    (max(compute, DRAM-transfer) plus first-tile latency) read from
+ *    the layer's FoldGrid and FoldTraffic (tiling.h, memory.h) without
+ *    visiting a fold. Fast; used inside the Phase 2 design-space
+ *    exploration loop. Its oracle is the fold-by-fold
+ *    systolic::oracle::AnalyticalEngine (tests/oracle/analytical_engine.h);
+ *    AnalyticalDifferential (test_batch_kernel.cc) holds the two equal
+ *    field by field.
  *  - The fold timeline, runFoldTimeline() (cycle_engine.h): steps the
  *    fold schedule through an explicit double-buffered prefetch/
  *    writeback recurrence over a pluggable DRAM channel. It has three
@@ -30,7 +35,6 @@
 #include "nn/model.h"
 #include "systolic/config.h"
 #include "systolic/memory.h"
-#include "systolic/tiling.h"
 
 namespace autopilot::systolic
 {
@@ -90,7 +94,9 @@ class Engine
 
 /**
  * Closed-form engine: per layer,
- * total = max(computeCycles, dramCycles) + firstTileLatency.
+ * total = max(computeCycles, dramCycles) + firstTileLatency, where
+ * dramCycles = ceil(totalDramBytes / dramBytesPerCycle) and
+ * firstTileLatency = ceil(fold 0's fetch bytes / dramBytesPerCycle).
  */
 class AnalyticalEngine : public Engine
 {

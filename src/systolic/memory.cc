@@ -80,7 +80,7 @@ analyzeResidency(const nn::Layer &layer, const AcceleratorConfig &config)
 namespace
 {
 
-/** computeTraffic() for a layer whose residency is already known. */
+/** The DRAM and scratchpad totals of a layer with @p residency. */
 LayerTraffic
 trafficWith(const nn::Layer &layer, std::int64_t row_folds,
             std::int64_t col_folds, const AcceleratorConfig &config,
@@ -154,14 +154,6 @@ trafficWith(const nn::Layer &layer, std::int64_t row_folds,
 
 } // namespace
 
-LayerTraffic
-computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config)
-{
-    return trafficWith(layer, schedule.rowFolds, schedule.colFolds, config,
-                       analyzeResidency(layer, config));
-}
-
 FoldTraffic::FoldTraffic(const nn::Layer &layer,
                          const AcceleratorConfig &config)
     : residency(analyzeResidency(layer, config)),
@@ -206,24 +198,6 @@ FoldTraffic::FoldTraffic(const nn::Layer &layer,
     else
         ofmap = {Over::Columns, Only::LastRow,
                  EvenSplit(traffic.ofmapDramBytes, cols)};
-}
-
-std::int64_t
-FoldTraffic::fetchBytes(std::int64_t fold_index) const
-{
-    panicIf(fold_index < 0 || fold_index >= foldGrid_.foldCount(),
-            "foldFetchBytes: fold index out of range");
-    return fetchBytes(fold_index / foldGrid_.colFolds,
-                      fold_index % foldGrid_.colFolds);
-}
-
-std::int64_t
-FoldTraffic::writebackBytes(std::int64_t fold_index) const
-{
-    panicIf(fold_index < 0 || fold_index >= foldGrid_.foldCount(),
-            "foldWritebackBytes: fold index out of range");
-    return writebackBytes(fold_index / foldGrid_.colFolds,
-                          fold_index % foldGrid_.colFolds);
 }
 
 namespace
@@ -299,20 +273,6 @@ FoldTraffic::columnRuns(std::int64_t i) const
             addBoundary(inner, extra - i * cols, cols);
     }
     return closeRuns(inner, cols);
-}
-
-std::int64_t
-foldFetchBytes(const nn::Layer &layer, const AcceleratorConfig &config,
-               std::int64_t fold_index)
-{
-    return FoldTraffic(layer, config).fetchBytes(fold_index);
-}
-
-std::int64_t
-foldWritebackBytes(const nn::Layer &layer, const AcceleratorConfig &config,
-                   std::int64_t fold_index)
-{
-    return FoldTraffic(layer, config).writebackBytes(fold_index);
 }
 
 } // namespace autopilot::systolic

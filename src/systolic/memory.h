@@ -87,17 +87,6 @@ Residency analyzeResidency(const nn::Layer &layer,
                            const AcceleratorConfig &config);
 
 /**
- * Compute DRAM traffic and scratchpad access counts for one layer.
- *
- * @param layer    The layer (provides raw tensor footprints).
- * @param schedule Fold schedule from scheduleGemm().
- * @param config   Accelerator configuration.
- */
-LayerTraffic computeTraffic(const nn::Layer &layer,
-                            const FoldSchedule &schedule,
-                            const AcceleratorConfig &config);
-
-/**
  * An even split of a total over a number of shares, precomputed: share
  * @p index gets base, and the first total % count shares one more, so
  * the shares sum exactly to the total.
@@ -137,8 +126,9 @@ struct FoldRuns
 };
 
 /**
- * One layer's per-fold timeline inputs, built once per layer and
- * answered per fold in closed form: computeTraffic()'s totals split
+ * One layer's traffic and per-fold timeline inputs, built once per layer
+ * and answered per fold in closed form: the layer's DRAM and scratchpad
+ * totals (residency-aware, see the file comment), their DRAM bytes split
  * over the folds, plus the fold grid that gives each fold's compute
  * cycles. Resident tensors are only fetched during the first pass that
  * touches them; final ofmap tiles leave the chip on the last row-fold
@@ -180,12 +170,6 @@ class FoldTraffic
     {
         return ofmap.bytes(i, j, foldGrid_);
     }
-
-    /** fetchBytes() of row-major fold @p fold_index (range-checked). */
-    std::int64_t fetchBytes(std::int64_t fold_index) const;
-
-    /** writebackBytes() of row-major fold @p fold_index (range-checked). */
-    std::int64_t writebackBytes(std::int64_t fold_index) const;
 
     /**
      * Runs of rows whose folds have the same inputs column by column:
@@ -241,16 +225,6 @@ class FoldTraffic
     TensorShare filter;
     TensorShare ofmap;
 };
-
-/** One-fold view of FoldTraffic::fetchBytes(). */
-std::int64_t foldFetchBytes(const nn::Layer &layer,
-                            const AcceleratorConfig &config,
-                            std::int64_t fold_index);
-
-/** One-fold view of FoldTraffic::writebackBytes(). */
-std::int64_t foldWritebackBytes(const nn::Layer &layer,
-                                const AcceleratorConfig &config,
-                                std::int64_t fold_index);
 
 } // namespace autopilot::systolic
 

@@ -54,24 +54,6 @@ foldGrid(const nn::GemmShape &gemm, const AcceleratorConfig &config)
 }
 
 std::int64_t
-FoldSchedule::computeCycles() const
-{
-    std::int64_t total = 0;
-    for (const Fold &fold : folds)
-        total += fold.cycles;
-    return total;
-}
-
-std::int64_t
-FoldSchedule::totalMacs() const
-{
-    std::int64_t total = 0;
-    for (const Fold &fold : folds)
-        total += fold.macs;
-    return total;
-}
-
-std::int64_t
 foldCycles(std::int64_t rows_used, std::int64_t cols_used,
            std::int64_t stream_len)
 {
@@ -80,30 +62,6 @@ foldCycles(std::int64_t rows_used, std::int64_t cols_used,
     // Preload/fill the stationary operand (rows_used), stream the moving
     // operand (stream_len), then drain the pipeline diagonal.
     return 2 * rows_used + cols_used + stream_len - 2;
-}
-
-FoldSchedule
-scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
-{
-    const FoldGrid grid = foldGrid(gemm, config);
-
-    FoldSchedule schedule;
-    schedule.rowFolds = grid.rowFolds;
-    schedule.colFolds = grid.colFolds;
-    schedule.folds.reserve(static_cast<std::size_t>(grid.foldCount()));
-
-    for (std::int64_t i = 0; i < grid.rowFolds; ++i) {
-        for (std::int64_t j = 0; j < grid.colFolds; ++j) {
-            Fold fold;
-            fold.rowsUsed = grid.rowsUsed(i);
-            fold.colsUsed = grid.colsUsed(j);
-            fold.streamLen = grid.streamDim;
-            fold.cycles = grid.cycles(i, j);
-            fold.macs = fold.rowsUsed * fold.colsUsed * grid.streamDim;
-            schedule.folds.push_back(fold);
-        }
-    }
-    return schedule;
 }
 
 } // namespace autopilot::systolic

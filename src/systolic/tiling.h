@@ -11,8 +11,8 @@
  *   IS: rows <- K (window depth), cols <- M (output pixels); N streams.
  *
  * Each fold has a fill/compute/drain cycle count derived from the classic
- * systolic pipeline timing. FoldGrid answers it per fold in closed form;
- * scheduleGemm() materializes the whole schedule. Neither knows anything
+ * systolic pipeline timing. FoldGrid answers it per fold, and summed over
+ * the layer, in closed form; no fold list is ever built. It knows nothing
  * about memory: the bytes each fold moves come from the residency-aware
  * split in memory.h (FoldTraffic).
  */
@@ -22,40 +22,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "nn/layer.h"
 #include "systolic/config.h"
 
 namespace autopilot::systolic
 {
-
-/** One fold: the work mapped onto the array at one time. */
-struct Fold
-{
-    std::int64_t rowsUsed = 0;   ///< PE rows occupied (<= peRows).
-    std::int64_t colsUsed = 0;   ///< PE columns occupied (<= peCols).
-    std::int64_t streamLen = 0;  ///< Elements streamed through the array.
-    std::int64_t cycles = 0;     ///< Fill + stream + drain cycles.
-    std::int64_t macs = 0;       ///< Useful MACs performed in this fold.
-};
-
-/** Complete fold schedule of one layer. */
-struct FoldSchedule
-{
-    std::int64_t rowFolds = 0; ///< Folds along the row-mapped dimension.
-    std::int64_t colFolds = 0; ///< Folds along the column-mapped dimension.
-    std::vector<Fold> folds;   ///< Row-major fold order.
-
-    /** Total folds = rowFolds * colFolds. */
-    std::int64_t foldCount() const { return rowFolds * colFolds; }
-
-    /** Sum of per-fold compute cycles. */
-    std::int64_t computeCycles() const;
-
-    /** Sum of per-fold useful MACs. */
-    std::int64_t totalMacs() const;
-};
 
 /**
  * Cycles for a single fold given the array shape and streamed length.
@@ -101,20 +73,23 @@ struct FoldGrid
     {
         return foldCycles(rowsUsed(i), colsUsed(j), streamDim);
     }
+
+    /**
+     * Sum of cycles(i, j) over every fold, in closed form: the rows
+     * used sum to rowDim over the row folds (and the columns to colDim),
+     * so sum (2 r_i + c_j + s - 2) = 2 C rowDim + R colDim
+     * + R C (s - 2).
+     */
+    std::int64_t computeCycles() const
+    {
+        return 2 * colFolds * rowDim + rowFolds * colDim +
+               foldCount() * (streamDim - 2);
+    }
 };
 
 /** The fold grid of @p gemm on @p config's array and dataflow. */
 FoldGrid foldGrid(const nn::GemmShape &gemm,
                   const AcceleratorConfig &config);
-
-/**
- * Build the fold schedule for a layer on a given accelerator.
- *
- * @param gemm   GEMM view of the layer.
- * @param config Accelerator configuration (array shape and dataflow).
- */
-FoldSchedule scheduleGemm(const nn::GemmShape &gemm,
-                          const AcceleratorConfig &config);
 
 } // namespace autopilot::systolic
 

@@ -42,10 +42,9 @@ LayerTrace::writeCsv(std::ostream &os) const
 LayerTrace
 traceLayer(const nn::Layer &layer, const AcceleratorConfig &config)
 {
-    const FoldSchedule schedule = scheduleGemm(layer.gemm(), config);
-    const LayerTraffic traffic =
-        computeTraffic(layer, schedule, config);
-    const std::int64_t fold_count = schedule.foldCount();
+    const FoldTraffic folds(layer, config);
+    const LayerTraffic &traffic = folds.totals();
+    const std::int64_t fold_count = folds.grid().foldCount();
 
     LayerTrace trace;
     trace.layerName = layer.name;
@@ -58,7 +57,7 @@ traceLayer(const nn::Layer &layer, const AcceleratorConfig &config)
         traffic.ofmapSramWrites + traffic.psumSramWrites;
 
     const FlatChannel channel(config.dramBytesPerCycle);
-    runFoldTimeline(layer, config, channel, [&](const FoldTiming &fold) {
+    stepTimeline(folds, channel, [&](const FoldTiming &fold) {
         const std::int64_t f = fold.index;
         if (fold.fetchBytes > 0) {
             trace.events.push_back({f, fold.fetchStart,

@@ -6,11 +6,11 @@
  * power models; this module reproduces that interface at fold
  * granularity: a stream of records, one per (fold, event-kind), carrying
  * the byte/element counts and the event's start cycle on the fold
- * timeline. It is an observer of runFoldTimeline() (cycle_engine.h),
- * not a copy of it, so its cycles cannot drift from the cycle engine's.
- * The trace totals are guaranteed to match computeTraffic()
- * (property-tested), so trace consumers and the analytic power model
- * always agree.
+ * timeline. It is an observer of the stepped fold timeline
+ * (stepTimeline(), cycle_engine.h), not a copy of it, so its cycles
+ * cannot drift from the cycle engine's. The trace totals are guaranteed
+ * to match the FoldTraffic totals (property-tested), so trace consumers
+ * and the analytic power model always agree.
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_TRACE_H
@@ -24,7 +24,6 @@
 #include "nn/layer.h"
 #include "systolic/config.h"
 #include "systolic/memory.h"
-#include "systolic/tiling.h"
 
 namespace autopilot::systolic
 {
@@ -67,10 +66,11 @@ struct LayerTrace
 /**
  * Generate the fold-granular trace of a layer on a configuration.
  *
- * The trace is recorded by runFoldTimeline() over a full-bandwidth
- * FlatChannel - the same function CycleEngine runs - so its start cycles
- * are CycleEngine's. DRAM amounts are the FoldTraffic per-fold split and
- * SRAM amounts split computeTraffic()'s totals evenly across folds.
+ * The trace is recorded by stepping the fold timeline over a
+ * full-bandwidth FlatChannel - the timeline CycleEngine fast-forwards -
+ * so its start cycles are CycleEngine's. DRAM amounts are the
+ * FoldTraffic per-fold split and SRAM amounts split its scratchpad
+ * totals evenly across folds.
  */
 LayerTrace traceLayer(const nn::Layer &layer,
                       const AcceleratorConfig &config);

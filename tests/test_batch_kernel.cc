@@ -1,32 +1,32 @@
 /**
  * @file
- * Batch-kernel equivalence suite for the raw-speed analytical core:
+ * The analytical cost model against its oracle, and its batch path:
  *
- *  - Randomized property test: evaluatePlanBatch() aggregates are
- *    byte-identical to scalar AnalyticalEngine::run on every bundled
- *    policy model, across randomly sampled hardware-space configurations
- *    and all three dataflows (the scalar engine stays the reference
- *    implementation; the SoA kernel must never drift from it).
- *  - Arena semantics: alignment, growth without invalidation, reset()
- *    recycling (same blocks, same pointers), and the reuse property -
- *    two batches through one arena produce results identical to fresh
- *    arenas per batch.
+ *  - Differential test: AnalyticalEngine::runLayer (closed form over
+ *    FoldGrid/FoldTraffic) equals the fold-by-fold
+ *    systolic::oracle::AnalyticalEngine field by field - folds,
+ *    compute/stall/total cycles and all 8 traffic fields - on every
+ *    layer of every bundled policy model, across randomly sampled
+ *    hardware-space configurations, all three dataflows, operand widths
+ *    1/2/4 and the corners of the space. FoldTraffic's per-fold fetch
+ *    and writeback bytes equal the oracle's per-fold statement of the
+ *    residency rules on random layers.
  *  - AnalyticalBackend batch path vs. its own scalar evaluate() -
- *    field-exact Evaluations, including through a thread pool.
+ *    field-exact Evaluations, serially and through 2- and 4-worker
+ *    pools.
  *  - Degenerate-denominator guards return 0 instead of inf/NaN.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "airlearning/trainer.h"
 #include "dse/eval_backend.h"
 #include "nn/e2e_template.h"
-#include "systolic/compiled_plan.h"
+#include "oracle/analytical_engine.h"
 #include "systolic/engine.h"
-#include "util/arena.h"
+#include "systolic/memory.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -39,8 +39,13 @@ namespace util = autopilot::util;
 namespace
 {
 
+constexpr sys::Dataflow kDataflows[] = {sys::Dataflow::WeightStationary,
+                                        sys::Dataflow::OutputStationary,
+                                        sys::Dataflow::InputStationary};
+
 /** Sample @p count configurations from the Table II hardware space,
- *  cycling through all three dataflows. */
+ *  cycling through all three dataflows and operand widths 1/2/4, plus
+ *  the corners of the space in every dataflow. */
 std::vector<sys::AcceleratorConfig>
 sampleConfigs(std::size_t count, std::uint64_t seed)
 {
@@ -58,22 +63,27 @@ sampleConfigs(std::size_t count, std::uint64_t seed)
             space.sramKbChoices[rng.index(space.sramKbChoices.size())];
         cfg.ofmapSramKb =
             space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        switch (i % 3) {
-          case 0: cfg.dataflow = sys::Dataflow::WeightStationary; break;
-          case 1: cfg.dataflow = sys::Dataflow::OutputStationary; break;
-          case 2: cfg.dataflow = sys::Dataflow::InputStationary; break;
-        }
+        cfg.dataflow = kDataflows[i % 3];
+        cfg.bytesPerElement = 1 << (i / 3 % 3);
+        cfg.dramBytesPerCycle = 1 << rng.uniformInt(2, 6);
         configs.push_back(cfg);
     }
     // Pin the corners of the space on top of the random sample.
-    sys::AcceleratorConfig smallest;
-    smallest.peRows = smallest.peCols = 8;
-    smallest.ifmapSramKb = smallest.filterSramKb = smallest.ofmapSramKb = 32;
-    configs.push_back(smallest);
-    sys::AcceleratorConfig largest;
-    largest.peRows = largest.peCols = 1024;
-    largest.ifmapSramKb = largest.filterSramKb = largest.ofmapSramKb = 4096;
-    configs.push_back(largest);
+    for (const sys::Dataflow dataflow : kDataflows) {
+        sys::AcceleratorConfig smallest;
+        smallest.dataflow = dataflow;
+        smallest.peRows = smallest.peCols = 8;
+        smallest.ifmapSramKb = smallest.filterSramKb =
+            smallest.ofmapSramKb = 32;
+        smallest.bytesPerElement = 4;
+        configs.push_back(smallest);
+        sys::AcceleratorConfig largest;
+        largest.dataflow = dataflow;
+        largest.peRows = largest.peCols = 1024;
+        largest.ifmapSramKb = largest.filterSramKb =
+            largest.ofmapSramKb = 4096;
+        configs.push_back(largest);
+    }
     return configs;
 }
 
@@ -128,146 +138,80 @@ expectEvaluationEq(const dse::Evaluation &a, const dse::Evaluation &b)
 
 } // namespace
 
-// ------------------------------------------------------------- kernel ----
+// ------------------------------------------------------- differential ----
 
-TEST(CompiledPlan, InvariantsMatchModel)
+TEST(AnalyticalDifferential, EngineMatchesOracleLayerByLayer)
 {
-    const nn::Model model = nn::buildE2EModel({4, 48});
-    const sys::CompiledModelPlan plan =
-        sys::CompiledModelPlan::compile(model);
-    ASSERT_EQ(plan.layerCount(), model.layers().size());
-    std::int64_t macs = 0;
-    for (std::size_t l = 0; l < plan.layerCount(); ++l) {
-        const nn::Layer &layer = model.layers()[l];
-        const nn::GemmShape gemm = layer.gemm();
-        EXPECT_EQ(plan.gemmM[l], gemm.m);
-        EXPECT_EQ(plan.gemmN[l], gemm.n);
-        EXPECT_EQ(plan.gemmK[l], gemm.k);
-        EXPECT_EQ(plan.mk[l], gemm.m * gemm.k);
-        EXPECT_EQ(plan.kn[l], gemm.k * gemm.n);
-        EXPECT_EQ(plan.mn[l], gemm.m * gemm.n);
-        EXPECT_EQ(plan.ifmapElems[l], layer.ifmapElems());
-        EXPECT_EQ(plan.filterElems[l], layer.filterElems());
-        EXPECT_EQ(plan.ofmapElems[l], layer.ofmapElems());
-        macs += gemm.macs();
-    }
-    EXPECT_EQ(plan.totalMacs(), macs);
-}
-
-TEST(CompiledPlan, BatchKernelByteIdenticalToScalarEngine)
-{
-    // >= 200 sampled configurations (plus the space corners), every
-    // bundled policy model, all three dataflows.
+    // >= 200 sampled configurations plus the space corners, every
+    // bundled policy model, all three dataflows, widths 1/2/4.
     const std::vector<sys::AcceleratorConfig> configs =
-        sampleConfigs(200, 0xB47C11u);
-    util::Arena arena;
+        sampleConfigs(201, 0xB47C11u);
 
     for (const nn::PolicyHyperParams &policy :
          nn::PolicySpace().enumerate()) {
         const nn::Model model = nn::buildE2EModel(policy);
-        const sys::CompiledModelPlan plan =
-            sys::CompiledModelPlan::compile(model);
-
-        arena.reset();
-        const sys::BatchRunView batch =
-            sys::evaluatePlanBatch(plan, configs, arena);
-
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            SCOPED_TRACE(model.name() + " @ " + configs[c].name());
-            const sys::AnalyticalEngine engine(configs[c]);
-            const sys::RunResult scalar = engine.run(model);
-            EXPECT_EQ(batch.totalCycles[c], scalar.totalCycles);
-            EXPECT_EQ(batch.computeCycles[c], scalar.computeCycles);
-            EXPECT_EQ(batch.stallCycles[c], scalar.stallCycles);
-            EXPECT_EQ(batch.totalMacs[c], scalar.totalMacs);
-            expectTrafficEq(batch.traffic[c], scalar.traffic);
+        for (const sys::AcceleratorConfig &config : configs) {
+            const sys::AnalyticalEngine engine(config);
+            const sys::oracle::AnalyticalEngine oracle(config);
+            for (const nn::Layer &layer : model.layers()) {
+                SCOPED_TRACE(model.name() + "/" + layer.name + " @ " +
+                             config.name() + " x" +
+                             std::to_string(config.bytesPerElement));
+                const sys::LayerResult got = engine.runLayer(layer);
+                const sys::LayerResult want = oracle.runLayer(layer);
+                EXPECT_EQ(got.rowFolds, want.rowFolds);
+                EXPECT_EQ(got.colFolds, want.colFolds);
+                EXPECT_EQ(got.computeCycles, want.computeCycles);
+                EXPECT_EQ(got.stallCycles, want.stallCycles);
+                EXPECT_EQ(got.totalCycles, want.totalCycles);
+                expectTrafficEq(got.traffic, want.traffic);
+            }
         }
     }
 }
 
-// -------------------------------------------------------------- arena ----
-
-TEST(Arena, AlignedAllocationAndAccounting)
+TEST(AnalyticalDifferential, FoldTrafficMatchesOraclePerFold)
 {
-    util::Arena arena(128);
-    EXPECT_EQ(arena.blockCount(), 1u);
-    EXPECT_EQ(arena.usedBytes(), 0u);
+    // Random conv and dense layers on arrays of 1-40 PEs a side and
+    // scratchpads of 1-512 KiB, so every residency case and share
+    // remainder occurs; every fold of each layer is compared.
+    util::Rng rng(0xF01D5u);
+    for (int trial = 0; trial < 2000; ++trial) {
+        sys::AcceleratorConfig config;
+        config.peRows = rng.uniformInt(1, 40);
+        config.peCols = rng.uniformInt(1, 40);
+        config.ifmapSramKb = rng.uniformInt(1, 512);
+        config.filterSramKb = rng.uniformInt(1, 512);
+        config.ofmapSramKb = rng.uniformInt(1, 512);
+        config.dataflow = kDataflows[trial % 3];
+        config.bytesPerElement = 1 << rng.uniformInt(0, 2);
+        const nn::Layer layer =
+            trial % 2 == 0
+                ? nn::conv2d("c", rng.uniformInt(3, 40),
+                             rng.uniformInt(3, 40), rng.uniformInt(1, 24),
+                             3, rng.uniformInt(1, 2), rng.uniformInt(1, 48))
+                : nn::dense("fc", rng.uniformInt(1, 600),
+                            rng.uniformInt(1, 200));
 
-    const std::span<std::int64_t> a = arena.allocate<std::int64_t>(4);
-    ASSERT_EQ(a.size(), 4u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) %
-                  alignof(std::int64_t),
-              0u);
-    for (const std::int64_t value : a)
-        EXPECT_EQ(value, 0); // Value-initialized.
-    EXPECT_EQ(arena.usedBytes(), 4 * sizeof(std::int64_t));
-
-    // Force growth past the 128-byte first block; earlier spans stay
-    // valid and the chain gains a block.
-    a[0] = 42;
-    const std::span<double> b = arena.allocate<double>(64);
-    ASSERT_EQ(b.size(), 64u);
-    EXPECT_EQ(a[0], 42);
-    EXPECT_GE(arena.blockCount(), 2u);
-    EXPECT_GE(arena.capacityBytes(), 128u + 64 * sizeof(double));
-}
-
-TEST(Arena, ResetRecyclesBlocksAndPointers)
-{
-    util::Arena arena(256);
-    void *first = arena.allocateBytes(64, 8);
-    arena.allocateBytes(1024, 8); // Grow.
-    const std::size_t capacity = arena.capacityBytes();
-    const std::size_t blocks = arena.blockCount();
-
-    arena.reset();
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    EXPECT_EQ(arena.capacityBytes(), capacity);
-    EXPECT_EQ(arena.blockCount(), blocks);
-    // Same block chain, so the first allocation lands on the same spot.
-    EXPECT_EQ(arena.allocateBytes(64, 8), first);
-}
-
-TEST(Arena, ReusedArenaMatchesFreshArenas)
-{
-    const std::vector<sys::AcceleratorConfig> batchA =
-        sampleConfigs(40, 0xAAu);
-    const std::vector<sys::AcceleratorConfig> batchB =
-        sampleConfigs(40, 0xBBu);
-    const nn::Model model = nn::buildE2EModel({7, 64});
-    const sys::CompiledModelPlan plan =
-        sys::CompiledModelPlan::compile(model);
-
-    // Reference: one fresh arena per batch.
-    util::Arena freshA, freshB;
-    const sys::BatchRunView refA =
-        sys::evaluatePlanBatch(plan, batchA, freshA);
-    const sys::BatchRunView refB =
-        sys::evaluatePlanBatch(plan, batchB, freshB);
-
-    // One arena, reset between batches (the backend's steady state).
-    util::Arena reused;
-    sys::BatchRunView gotA = sys::evaluatePlanBatch(plan, batchA, reused);
-    for (std::size_t i = 0; i < batchA.size(); ++i) {
-        EXPECT_EQ(gotA.totalCycles[i], refA.totalCycles[i]);
-        EXPECT_EQ(gotA.totalMacs[i], refA.totalMacs[i]);
-        expectTrafficEq(gotA.traffic[i], refA.traffic[i]);
+        const sys::FoldTraffic folds(layer, config);
+        const sys::oracle::FoldSchedule schedule =
+            sys::oracle::scheduleGemm(layer.gemm(), config);
+        ASSERT_EQ(folds.grid().rowFolds, schedule.rowFolds);
+        ASSERT_EQ(folds.grid().colFolds, schedule.colFolds);
+        for (std::int64_t f = 0; f < schedule.foldCount(); ++f) {
+            const std::int64_t i = f / schedule.colFolds;
+            const std::int64_t j = f % schedule.colFolds;
+            SCOPED_TRACE(config.name() + " fold " + std::to_string(f));
+            ASSERT_EQ(folds.fetchBytes(i, j),
+                      sys::oracle::foldFetchBytes(layer, schedule, config,
+                                                  f));
+            ASSERT_EQ(folds.writebackBytes(i, j),
+                      sys::oracle::foldWritebackBytes(layer, schedule,
+                                                      config, f));
+            ASSERT_EQ(folds.grid().cycles(i, j),
+                      schedule.folds[static_cast<std::size_t>(f)].cycles);
+        }
     }
-    reused.reset();
-    const sys::BatchRunView gotB =
-        sys::evaluatePlanBatch(plan, batchB, reused);
-    const std::size_t warmCapacity = reused.capacityBytes();
-    for (std::size_t i = 0; i < batchB.size(); ++i) {
-        EXPECT_EQ(gotB.totalCycles[i], refB.totalCycles[i]);
-        EXPECT_EQ(gotB.computeCycles[i], refB.computeCycles[i]);
-        EXPECT_EQ(gotB.stallCycles[i], refB.stallCycles[i]);
-        EXPECT_EQ(gotB.totalMacs[i], refB.totalMacs[i]);
-        expectTrafficEq(gotB.traffic[i], refB.traffic[i]);
-    }
-    // A warm arena serves an identical batch without growing.
-    reused.reset();
-    sys::evaluatePlanBatch(plan, batchB, reused);
-    EXPECT_EQ(reused.capacityBytes(), warmCapacity);
 }
 
 // ------------------------------------------------------------- guards ----
@@ -335,16 +279,18 @@ TEST(AnalyticalBatch, PooledBatchMatchesSerialBatch)
                               serial[i] = std::move(e);
                           });
 
-    util::ThreadPool pool(4);
-    std::vector<dse::Evaluation> pooled(points.size());
-    backend.evaluateBatch(points, &pool,
-                          [&pooled](std::size_t i, dse::Evaluation &&e) {
-                              pooled[i] = std::move(e);
-                          });
+    for (const std::size_t workers : {2u, 4u}) {
+        util::ThreadPool pool(workers);
+        std::vector<dse::Evaluation> pooled(points.size());
+        backend.evaluateBatch(
+            points, &pool, [&pooled](std::size_t i, dse::Evaluation &&e) {
+                pooled[i] = std::move(e);
+            });
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectEvaluationEq(pooled[i], serial[i]);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(std::to_string(workers) + " workers, point " +
+                         std::to_string(i));
+            expectEvaluationEq(pooled[i], serial[i]);
+        }
     }
 }
-

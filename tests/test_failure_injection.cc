@@ -78,14 +78,15 @@ TEST(FailureInjection, MinimalSramEverywhereStillConserves)
     config.filterSramKb = 32;
     config.ofmapSramKb = 32;
     const nn::Layer conv = nn::conv2d("c", 128, 128, 48, 3, 1, 96);
-    const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-    const auto traffic = sys::computeTraffic(conv, schedule, config);
+    const sys::FoldTraffic folds(conv, config);
     std::int64_t shares = 0;
-    for (std::int64_t f = 0; f < schedule.foldCount(); ++f) {
-        shares += sys::foldFetchBytes(conv, config, f);
-        shares += sys::foldWritebackBytes(conv, config, f);
+    for (std::int64_t i = 0; i < folds.grid().rowFolds; ++i) {
+        for (std::int64_t j = 0; j < folds.grid().colFolds; ++j) {
+            shares += folds.fetchBytes(i, j);
+            shares += folds.writebackBytes(i, j);
+        }
     }
-    EXPECT_EQ(shares, traffic.totalDramBytes());
+    EXPECT_EQ(shares, folds.totals().totalDramBytes());
 }
 
 // --------------------------------------------- pathological missions -----

@@ -439,6 +439,16 @@ TEST(TaskKeys, BlamesTheOffendingKey)
         {{{"backend", io::JsonValue::makeString("analytical")},
           {"host_mbps", io::JsonValue::makeNumber(1e303)}},
          "host_mbps"},
+        // A QoS floor so small that derated transfers would overflow
+        // int64 cycle counts: the saturating rate is blamed.
+        {{{"backend", io::JsonValue::makeString("contention")},
+          {"camera_mbps", io::JsonValue::makeNumber(1e5)},
+          {"npu_floor", io::JsonValue::makeNumber(1e-15)}},
+         "camera_mbps"},
+        {{{"backend", io::JsonValue::makeString("tiered")},
+          {"host_mbps", io::JsonValue::makeNumber(1e5)},
+          {"npu_floor", io::JsonValue::makeNumber(1e-300)}},
+         "host_mbps"},
     };
     for (const auto &bad : cases) {
         runner::CampaignTask task;
@@ -632,6 +642,31 @@ TEST(Service, InfeasibleContentionIsRejectedWhileOthersFinish)
         << statusField(root, "bad", "detail");
     EXPECT_EQ(fileBytes(root / "results" / "good.result"), golden);
     fs::remove_all(goldenRoot);
+    fs::remove_all(root);
+}
+
+TEST(Service, OverflowingContentionFloorIsRejected)
+{
+    // A QoS floor of 1e-15 under a saturating camera stream is a valid
+    // fraction, but the derated transfers would overflow int64 cycle
+    // counts (UB, or silently fewer cycles than the ideal channel). It
+    // is rejected at admission like a starved channel.
+    const fs::path root = testDir("contention_overflow");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxCampaigns = 1;
+    runner::CampaignService service(config);
+    submit(root, "tiny",
+           R"({"tenant": "bob", "density": "low", "episodes": 10,)"
+           R"( "budget": 8, "backend": "contention",)"
+           R"( "camera_mbps": 100000, "npu_floor": 1e-15})");
+    const runner::ServiceReport report = service.serve();
+    EXPECT_EQ(report.completed, 0u);
+    EXPECT_EQ(report.rejected, 1u);
+    EXPECT_TRUE(fs::exists(root / "done" / "tiny.rejected"));
+    EXPECT_EQ(statusField(root, "tiny", "state"), "rejected");
+    EXPECT_NE(statusField(root, "tiny", "detail").find("below the minimum"),
+              std::string::npos)
+        << statusField(root, "tiny", "detail");
     fs::remove_all(root);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -284,6 +285,36 @@ TEST(ContentionDeath, FullyContendedChannelDiagnosed)
     EXPECT_EXIT(sys::CycleEngine(config, profile),
                 ::testing::ExitedWithCode(1),
                 "no DRAM bandwidth");
+}
+
+TEST(Contention, SmallestAcceptedDerateIsNoFasterThanIdeal)
+{
+    // The default config and (5, 32) policy under a saturating camera
+    // stream, so the QoS floor is the derate. At the smallest accepted
+    // derate every cycle count still fits int64, and the run is slower
+    // than on the ideal channel; a floor below it is rejected (1e-15
+    // overflowed in the fast-forward, 1e-300 in the transfer cast and
+    // returned fewer cycles than the ideal engine).
+    const sys::AcceleratorConfig config;
+    const nn::Model model = nn::buildE2EModel({5, 32});
+    sys::ContentionProfile profile;
+    profile.cameraBytesPerSec = 1e11;
+    profile.npuFloorFraction = sys::ContentionProfile::minDerate;
+    ASSERT_EQ(profile.infeasibleReason(config), "");
+    const sys::RunResult ideal = sys::CycleEngine(config).run(model);
+    const sys::RunResult slowest =
+        sys::CycleEngine(config, profile).run(model);
+    EXPECT_GE(slowest.totalCycles, ideal.totalCycles);
+    EXPECT_EQ(slowest.computeCycles, ideal.computeCycles);
+
+    for (const double floor :
+         {std::nextafter(sys::ContentionProfile::minDerate, 0.0), 1e-15,
+          1e-300}) {
+        profile.npuFloorFraction = floor;
+        EXPECT_NE(profile.infeasibleReason(config).find("below the minimum"),
+                  std::string::npos)
+            << floor;
+    }
 }
 
 TEST(ContentionDeath, RejectsBadProfiles)

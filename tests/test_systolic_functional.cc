@@ -89,9 +89,9 @@ TEST_P(FunctionalSweep, BitExactAndCycleExact)
     sys::AcceleratorConfig config;
     config.peRows = pe_rows;
     config.peCols = pe_cols;
-    const sys::FoldSchedule schedule = sys::scheduleGemm(gemm, config);
-    EXPECT_EQ(result.foldCount, schedule.foldCount());
-    EXPECT_EQ(result.totalCycles, schedule.computeCycles());
+    const sys::FoldGrid grid = sys::foldGrid(gemm, config);
+    EXPECT_EQ(result.foldCount, grid.foldCount());
+    EXPECT_EQ(result.totalCycles, grid.computeCycles());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,9 +160,9 @@ TEST_P(FunctionalOsSweep, BitExactAndCycleExact)
     config.peRows = pe_rows;
     config.peCols = pe_cols;
     config.dataflow = sys::Dataflow::OutputStationary;
-    const sys::FoldSchedule schedule = sys::scheduleGemm(gemm, config);
-    EXPECT_EQ(result.foldCount, schedule.foldCount());
-    EXPECT_EQ(result.totalCycles, schedule.computeCycles());
+    const sys::FoldGrid grid = sys::foldGrid(gemm, config);
+    EXPECT_EQ(result.foldCount, grid.foldCount());
+    EXPECT_EQ(result.totalCycles, grid.computeCycles());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -189,9 +189,9 @@ TEST(Functional, InputStationaryBitAndCycleExact)
     config.peRows = 8;
     config.peCols = 8;
     config.dataflow = sys::Dataflow::InputStationary;
-    const sys::FoldSchedule schedule = sys::scheduleGemm(gemm, config);
-    EXPECT_EQ(result.foldCount, schedule.foldCount());
-    EXPECT_EQ(result.totalCycles, schedule.computeCycles());
+    const sys::FoldGrid grid = sys::foldGrid(gemm, config);
+    EXPECT_EQ(result.foldCount, grid.foldCount());
+    EXPECT_EQ(result.totalCycles, grid.computeCycles());
 }
 
 TEST(Functional, TransposeRoundTrip)

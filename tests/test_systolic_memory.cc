@@ -9,7 +9,6 @@
 
 #include "nn/layer.h"
 #include "systolic/memory.h"
-#include "systolic/tiling.h"
 
 namespace sys = autopilot::systolic;
 namespace nn = autopilot::nn;
@@ -73,9 +72,8 @@ TEST(Traffic, PsumNeverSpillsToDram)
           sys::Dataflow::OutputStationary,
           sys::Dataflow::InputStationary}) {
         const auto config = makeConfig(16, 16, 32, dataflow);
-        const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-        const auto traffic =
-            sys::computeTraffic(conv, schedule, config);
+        const sys::LayerTraffic traffic =
+            sys::FoldTraffic(conv, config).totals();
         // The only DRAM write is the final ofmap, written once.
         EXPECT_EQ(traffic.ofmapDramBytes,
                   conv.ofmapElems() * config.bytesPerElement)
@@ -88,8 +86,8 @@ TEST(Traffic, WeightsFetchedOncePerChunkInWs)
     const nn::Layer fc = nn::dense("fc", 12288, 2048);
     const auto config =
         makeConfig(16, 16, 128, sys::Dataflow::WeightStationary);
-    const auto schedule = sys::scheduleGemm(fc.gemm(), config);
-    const auto traffic = sys::computeTraffic(fc, schedule, config);
+    const sys::LayerTraffic traffic =
+        sys::FoldTraffic(fc, config).totals();
     // Dense layer: m = 1, so psums always fit -> single chunk -> every
     // weight crosses DRAM exactly once.
     EXPECT_EQ(traffic.filterDramBytes, fc.filterElems());
@@ -102,10 +100,10 @@ TEST(Traffic, ResidentFilterAvoidsRefetchInOs)
         makeConfig(8, 8, 32, sys::Dataflow::OutputStationary);
     const auto large =
         makeConfig(8, 8, 4096, sys::Dataflow::OutputStationary);
-    const auto schedule_s = sys::scheduleGemm(conv.gemm(), small);
-    const auto schedule_l = sys::scheduleGemm(conv.gemm(), large);
-    const auto traffic_s = sys::computeTraffic(conv, schedule_s, small);
-    const auto traffic_l = sys::computeTraffic(conv, schedule_l, large);
+    const sys::LayerTraffic traffic_s =
+        sys::FoldTraffic(conv, small).totals();
+    const sys::LayerTraffic traffic_l =
+        sys::FoldTraffic(conv, large).totals();
     EXPECT_GE(traffic_s.filterDramBytes, traffic_l.filterDramBytes);
     EXPECT_EQ(traffic_l.filterDramBytes, conv.filterElems());
 }
@@ -118,9 +116,8 @@ TEST(Traffic, OfmapWrittenExactlyOnce)
           sys::Dataflow::OutputStationary,
           sys::Dataflow::InputStationary}) {
         const auto config = makeConfig(16, 32, 64, dataflow);
-        const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-        const auto traffic =
-            sys::computeTraffic(conv, schedule, config);
+        const sys::LayerTraffic traffic =
+            sys::FoldTraffic(conv, config).totals();
         EXPECT_EQ(traffic.ofmapDramBytes, conv.ofmapElems());
         EXPECT_EQ(traffic.ofmapSramWrites,
                   conv.gemm().m * conv.gemm().n);
@@ -165,16 +162,16 @@ TEST_P(TrafficConservation, FoldSharesSumToTotals)
     };
 
     for (const nn::Layer &layer : layers) {
-        const auto schedule = sys::scheduleGemm(layer.gemm(), config);
-        const auto traffic =
-            sys::computeTraffic(layer, schedule, config);
+        const sys::FoldTraffic folds(layer, config);
+        const sys::LayerTraffic &traffic = folds.totals();
 
         std::int64_t fetch_sum = 0;
         std::int64_t writeback_sum = 0;
-        for (std::int64_t f = 0; f < schedule.foldCount(); ++f) {
-            fetch_sum += sys::foldFetchBytes(layer, config, f);
-            writeback_sum +=
-                sys::foldWritebackBytes(layer, config, f);
+        for (std::int64_t i = 0; i < folds.grid().rowFolds; ++i) {
+            for (std::int64_t j = 0; j < folds.grid().colFolds; ++j) {
+                fetch_sum += folds.fetchBytes(i, j);
+                writeback_sum += folds.writebackBytes(i, j);
+            }
         }
         EXPECT_EQ(fetch_sum + writeback_sum, traffic.totalDramBytes())
             << layer.name << " on " << config.name();
@@ -206,8 +203,8 @@ TEST(Traffic, WsChunkedFilterRefetchExactValue)
     EXPECT_FALSE(residency.psumOnChip);
     EXPECT_EQ(residency.streamChunks, 8);
 
-    const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-    const auto traffic = sys::computeTraffic(conv, schedule, config);
+    const sys::LayerTraffic traffic =
+        sys::FoldTraffic(conv, config).totals();
     // Filter not resident (288 * 64 = 18432 B > 32768? no - it IS
     // resident), so weights cross DRAM once despite the chunking.
     EXPECT_TRUE(residency.filterResident);
@@ -224,8 +221,8 @@ TEST(Traffic, IsPinnedIfmapRefetchPerChunk)
         makeConfig(16, 16, 64, sys::Dataflow::InputStationary);
     const auto residency = sys::analyzeResidency(conv, config);
     ASSERT_FALSE(residency.ifmapResident); // 139 KB > 32 KB half-cap.
-    const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-    const auto traffic = sys::computeTraffic(conv, schedule, config);
+    const sys::LayerTraffic traffic =
+        sys::FoldTraffic(conv, config).totals();
     // IS pins the im2col footprint once per stream chunk.
     const std::int64_t im2col =
         conv.gemm().m * conv.gemm().k * 1; // 1 byte/element.
@@ -245,8 +242,8 @@ TEST(Traffic, DenseLayerNeverChunks)
         if (dataflow == sys::Dataflow::WeightStationary) {
             EXPECT_TRUE(residency.psumOnChip);
         }
-        const auto schedule = sys::scheduleGemm(fc.gemm(), config);
-        const auto traffic = sys::computeTraffic(fc, schedule, config);
+        const sys::LayerTraffic traffic =
+            sys::FoldTraffic(fc, config).totals();
         EXPECT_EQ(traffic.ofmapDramBytes,
                   fc.ofmapElems() * config.bytesPerElement);
     }
@@ -262,9 +259,8 @@ TEST(Traffic, MoreSramNeverIncreasesDramTraffic)
         std::int64_t prev = -1;
         for (int sram_kb : {32, 64, 128, 256, 512, 1024, 2048, 4096}) {
             const auto config = makeConfig(16, 16, sram_kb, dataflow);
-            const auto schedule = sys::scheduleGemm(conv.gemm(), config);
-            const auto traffic =
-                sys::computeTraffic(conv, schedule, config);
+            const sys::LayerTraffic traffic =
+                sys::FoldTraffic(conv, config).totals();
             if (prev >= 0) {
                 EXPECT_LE(traffic.totalDramBytes(), prev)
                     << sys::dataflowName(dataflow) << " " << sram_kb;

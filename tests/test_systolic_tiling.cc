@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the systolic fold scheduler: coverage, timing formula and
+ * Tests for the systolic fold grid: coverage, timing formula and
  * per-dataflow dimension assignment, including property sweeps over the
  * Table II hardware space.
  */
@@ -39,51 +39,51 @@ TEST(FoldCycles, MatchesPipelineFormula)
 TEST(ScheduleGemm, ExactFitSingleFold)
 {
     const nn::GemmShape gemm{32, 16, 8}; // m, n, k.
-    const auto schedule = sys::scheduleGemm(
+    const sys::FoldGrid grid = sys::foldGrid(
         gemm, makeConfig(8, 16, sys::Dataflow::WeightStationary));
     // WS: rows <- k (8), cols <- n (16): one fold.
-    EXPECT_EQ(schedule.rowFolds, 1);
-    EXPECT_EQ(schedule.colFolds, 1);
-    EXPECT_EQ(schedule.folds.size(), 1u);
-    EXPECT_EQ(schedule.folds[0].streamLen, 32);
+    EXPECT_EQ(grid.rowFolds, 1);
+    EXPECT_EQ(grid.colFolds, 1);
+    EXPECT_EQ(grid.foldCount(), 1);
+    EXPECT_EQ(grid.streamDim, 32);
 }
 
 TEST(ScheduleGemm, PartialFoldsUsePartialArray)
 {
     const nn::GemmShape gemm{10, 20, 12};
-    const auto schedule = sys::scheduleGemm(
+    const sys::FoldGrid grid = sys::foldGrid(
         gemm, makeConfig(8, 16, sys::Dataflow::WeightStationary));
     // k = 12 over 8 rows -> folds of 8 and 4; n = 20 over 16 cols -> 16, 4.
-    EXPECT_EQ(schedule.rowFolds, 2);
-    EXPECT_EQ(schedule.colFolds, 2);
-    EXPECT_EQ(schedule.folds[0].rowsUsed, 8);
-    EXPECT_EQ(schedule.folds[0].colsUsed, 16);
-    EXPECT_EQ(schedule.folds[3].rowsUsed, 4);
-    EXPECT_EQ(schedule.folds[3].colsUsed, 4);
+    EXPECT_EQ(grid.rowFolds, 2);
+    EXPECT_EQ(grid.colFolds, 2);
+    EXPECT_EQ(grid.rowsUsed(0), 8);
+    EXPECT_EQ(grid.colsUsed(0), 16);
+    EXPECT_EQ(grid.rowsUsed(1), 4);
+    EXPECT_EQ(grid.colsUsed(1), 4);
 }
 
 TEST(ScheduleGemm, DimensionAssignmentPerDataflow)
 {
     const nn::GemmShape gemm{100, 20, 30};
-    const auto ws = sys::scheduleGemm(
+    const sys::FoldGrid ws = sys::foldGrid(
         gemm, makeConfig(8, 8, sys::Dataflow::WeightStationary));
-    const auto os = sys::scheduleGemm(
+    const sys::FoldGrid os = sys::foldGrid(
         gemm, makeConfig(8, 8, sys::Dataflow::OutputStationary));
-    const auto is = sys::scheduleGemm(
+    const sys::FoldGrid is = sys::foldGrid(
         gemm, makeConfig(8, 8, sys::Dataflow::InputStationary));
 
     // WS: rows <- k=30 (4 folds), cols <- n=20 (3), stream m=100.
     EXPECT_EQ(ws.rowFolds, 4);
     EXPECT_EQ(ws.colFolds, 3);
-    EXPECT_EQ(ws.folds[0].streamLen, 100);
+    EXPECT_EQ(ws.streamDim, 100);
     // OS: rows <- m=100 (13), cols <- n=20 (3), stream k=30.
     EXPECT_EQ(os.rowFolds, 13);
     EXPECT_EQ(os.colFolds, 3);
-    EXPECT_EQ(os.folds[0].streamLen, 30);
+    EXPECT_EQ(os.streamDim, 30);
     // IS: rows <- k=30 (4), cols <- m=100 (13), stream n=20.
     EXPECT_EQ(is.rowFolds, 4);
     EXPECT_EQ(is.colFolds, 13);
-    EXPECT_EQ(is.folds[0].streamLen, 20);
+    EXPECT_EQ(is.streamDim, 20);
 }
 
 /** Property sweep: MAC coverage and fold accounting over the space. */
@@ -98,27 +98,36 @@ TEST_P(TilingProperty, FoldsCoverAllMacsExactly)
     const auto [rows, cols, dataflow] = GetParam();
     const nn::Layer conv = nn::conv2d("c", 64, 64, 16, 3, 2, 40);
     const nn::GemmShape gemm = conv.gemm();
-    const auto schedule =
-        sys::scheduleGemm(gemm, makeConfig(rows, cols, dataflow));
-    EXPECT_EQ(schedule.totalMacs(), gemm.macs());
-    EXPECT_EQ(static_cast<std::int64_t>(schedule.folds.size()),
-              schedule.foldCount());
+    const sys::FoldGrid grid =
+        sys::foldGrid(gemm, makeConfig(rows, cols, dataflow));
+    std::int64_t macs = 0;
+    std::int64_t folds = 0;
+    for (std::int64_t i = 0; i < grid.rowFolds; ++i) {
+        for (std::int64_t j = 0; j < grid.colFolds; ++j) {
+            macs += grid.rowsUsed(i) * grid.colsUsed(j) * grid.streamDim;
+            ++folds;
+        }
+    }
+    EXPECT_EQ(macs, gemm.macs());
+    EXPECT_EQ(folds, grid.foldCount());
 }
 
 TEST_P(TilingProperty, FoldDimensionsWithinArray)
 {
     const auto [rows, cols, dataflow] = GetParam();
     const nn::Layer fc = nn::dense("fc", 1000, 77);
-    const auto schedule =
-        sys::scheduleGemm(fc.gemm(), makeConfig(rows, cols, dataflow));
-    for (const sys::Fold &fold : schedule.folds) {
-        EXPECT_GE(fold.rowsUsed, 1);
-        EXPECT_LE(fold.rowsUsed, rows);
-        EXPECT_GE(fold.colsUsed, 1);
-        EXPECT_LE(fold.colsUsed, cols);
-        EXPECT_EQ(fold.cycles, sys::foldCycles(fold.rowsUsed,
-                                               fold.colsUsed,
-                                               fold.streamLen));
+    const sys::FoldGrid grid =
+        sys::foldGrid(fc.gemm(), makeConfig(rows, cols, dataflow));
+    for (std::int64_t i = 0; i < grid.rowFolds; ++i) {
+        for (std::int64_t j = 0; j < grid.colFolds; ++j) {
+            EXPECT_GE(grid.rowsUsed(i), 1);
+            EXPECT_LE(grid.rowsUsed(i), rows);
+            EXPECT_GE(grid.colsUsed(j), 1);
+            EXPECT_LE(grid.colsUsed(j), cols);
+            EXPECT_EQ(grid.cycles(i, j),
+                      sys::foldCycles(grid.rowsUsed(i), grid.colsUsed(j),
+                                      grid.streamDim));
+        }
     }
 }
 
@@ -127,12 +136,18 @@ TEST_P(TilingProperty, ComputeCyclesAtLeastIdealMacs)
     const auto [rows, cols, dataflow] = GetParam();
     const nn::Layer conv = nn::conv2d("c", 32, 32, 8, 3, 1, 24);
     const nn::GemmShape gemm = conv.gemm();
-    const auto schedule =
-        sys::scheduleGemm(gemm, makeConfig(rows, cols, dataflow));
+    const sys::FoldGrid grid =
+        sys::foldGrid(gemm, makeConfig(rows, cols, dataflow));
     const std::int64_t ideal =
         (gemm.macs() + static_cast<std::int64_t>(rows) * cols - 1) /
         (static_cast<std::int64_t>(rows) * cols);
-    EXPECT_GE(schedule.computeCycles(), ideal);
+    EXPECT_GE(grid.computeCycles(), ideal);
+    // The closed form is the fold-by-fold sum.
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < grid.rowFolds; ++i)
+        for (std::int64_t j = 0; j < grid.colFolds; ++j)
+            sum += grid.cycles(i, j);
+    EXPECT_EQ(grid.computeCycles(), sum);
 }
 
 INSTANTIATE_TEST_SUITE_P(

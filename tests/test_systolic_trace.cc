@@ -60,9 +60,8 @@ TEST_P(TraceConservation, TotalsMatchTrafficModel)
         nn::dense("fc", 4096, 512),
     };
     for (const nn::Layer &layer : layers) {
-        const auto schedule = sys::scheduleGemm(layer.gemm(), config);
-        const auto traffic =
-            sys::computeTraffic(layer, schedule, config);
+        const sys::LayerTraffic traffic =
+            sys::FoldTraffic(layer, config).totals();
         const sys::LayerTrace trace = sys::traceLayer(layer, config);
 
         EXPECT_EQ(trace.totalOf(sys::TraceEventKind::DramFetch) +
