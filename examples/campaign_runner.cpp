@@ -29,7 +29,7 @@
  * Flags (service mode):
  *   --serve ROOT       Service root directory (created on demand).
  *   --max-active N     Campaigns running at once       (default 2)
- *   --workers N        Shared pool threads; 0 = hw     (default 0)
+ *   --workers N        Shared pool threads, 0-256; 0 = hw (default 0)
  *   --poll S           Inbox scan interval, seconds    (default 0.2)
  *   --max-campaigns N  Exit after N terminal campaigns (default: run
  *                      until signalled)
@@ -51,8 +51,8 @@
  *                      (default 4:4:4:1560:36)
  *   --budget N         Phase 2 evaluation budget    (default 60)
  *   --episodes N       Phase 1 validation episodes  (default 80)
- *   --threads N        Worker threads per task      (default 1)
- *   --concurrency N    Tasks run at once            (default 1)
+ *   --threads N        Worker threads per task, 0-256 (default 1)
+ *   --concurrency N    Tasks run at once, 0-256     (default 1)
  *   --deadline S       Per-task deadline in seconds (default off)
  *   --airframe NAME    quad | fixed-wing: fly every task on this
  *                      airframe (default quad; single-scenario
@@ -139,16 +139,19 @@ badFlag(const std::string &flag, const std::string &error)
     usage("bad " + flag + ": " + error);
 }
 
-/// The value of integer flag @p flag, at least @p min, or usage()
-/// naming the flag.
+/// The value of integer flag @p flag, at least @p min and at most
+/// @p max, or usage() naming the flag.
 int
 intFlag(const std::string &flag, const std::string &text,
-        int min = std::numeric_limits<int>::min())
+        int min = std::numeric_limits<int>::min(),
+        int max = std::numeric_limits<int>::max())
 {
     int value = 0;
     std::string error = autopilot::io::tryParseInt(text, value);
     if (error.empty() && value < min)
         error = "want an integer >= " + std::to_string(min);
+    if (error.empty() && value > max)
+        error = "want an integer <= " + std::to_string(max);
     if (!error.empty())
         badFlag(flag, error);
     return value;
@@ -274,7 +277,7 @@ main(int argc, char **argv)
         } else if (arg == "--max-active") {
             maxActive = intFlag(arg, value(i), 1);
         } else if (arg == "--workers") {
-            workers = intFlag(arg, value(i), 0);
+            workers = intFlag(arg, value(i), 0, runner::maxThreads);
         } else if (arg == "--poll") {
             pollSeconds = doubleFlag(arg, value(i));
             if (!std::isfinite(pollSeconds) || pollSeconds < 0.0)
@@ -287,7 +290,7 @@ main(int argc, char **argv)
             if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0)
                 dir = args[++i];
         } else if (arg == "--concurrency") {
-            concurrency = intFlag(arg, value(i), 0);
+            concurrency = intFlag(arg, value(i), 0, runner::maxThreads);
         } else {
             usage("unknown flag '" + arg + "'");
         }

@@ -1,7 +1,5 @@
 #include "dse/eval_backend.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -112,6 +110,35 @@ countBatch(const std::string &backend, std::size_t points)
             .add(points);
     }
     return &telemetry.metrics().histogram("dse.simulate_s");
+}
+
+/// Relative hypervolume-contribution band of the tiered promotion test
+/// (see TieredBackend for how it relates to the engine's timing error).
+constexpr double promotionBand = 0.02;
+
+/// Reference point of the promotion test ({1 - success, watts, ms},
+/// minimized): the OptimizerConfig default box.
+const Objectives promotionReference = {1.0, 12.0, 120.0};
+
+/**
+ * Band-relaxed hypervolume-contribution test against the running
+ * analytical front, whose sweep @p frontGain is built once per batch.
+ *
+ * Improve the candidate componentwise by the band fraction; promote
+ * when that relaxed point still contributes fresh hypervolume against
+ * the front. Front members always pass (their relaxation dominates
+ * their own front entry, adding a shell of volume); points within the
+ * band behind the front pass because the relaxation lifts them past
+ * it; deeply dominated points fail.
+ */
+bool
+shouldPromote(const HypervolumeContribution &frontGain,
+              const Objectives &screened)
+{
+    Objectives relaxed = screened;
+    for (double &component : relaxed)
+        component *= 1.0 - promotionBand;
+    return frontGain(relaxed) > 0.0;
 }
 
 } // namespace
@@ -370,8 +397,7 @@ CycleTimelineBackend::commandTotals() const
 
 // ---------------------------------------------------------------- tiered ----
 
-TieredBackend::TieredBackend(const BackendContext &context,
-                             const TieredPolicy &policy)
+TieredBackend::TieredBackend(const BackendContext &context)
     : screen(context),
       // The verify tier is the most accurate model configured: bank-level
       // when the context carries traffic generators, else the derated
@@ -379,24 +405,8 @@ TieredBackend::TieredBackend(const BackendContext &context,
       // as "tiered".
       verify(context, "tiered",
              context.dram.enabled() ? MemoryModel::Bank
-                                    : MemoryModel::Derated),
-      tierPolicy(policy), band_(policy.promotionBand)
+                                    : MemoryModel::Derated)
 {
-    util::fatalIf(tierPolicy.promotionBand <= 0.0 ||
-                      tierPolicy.promotionBand >= 1.0,
-                  "TieredBackend: promotion band outside (0, 1)");
-    util::fatalIf(tierPolicy.referencePoint.size() != 3,
-                  "TieredBackend: reference point must have 3 "
-                  "objectives");
-    if (tierPolicy.adaptive) {
-        util::fatalIf(tierPolicy.minBand <= 0.0 ||
-                          tierPolicy.maxBand >= 1.0 ||
-                          tierPolicy.minBand > tierPolicy.maxBand,
-                      "TieredBackend: adaptive band clamp must satisfy "
-                      "0 < minBand <= maxBand < 1");
-        util::fatalIf(tierPolicy.errorMargin <= 0.0,
-                      "TieredBackend: errorMargin must be positive");
-    }
 }
 
 std::size_t
@@ -413,13 +423,6 @@ TieredBackend::promotedCount() const
     return promoted_;
 }
 
-double
-TieredBackend::currentBand() const
-{
-    std::lock_guard<std::mutex> lock(stateMutex);
-    return band_;
-}
-
 void
 TieredBackend::absorb(const Objectives &screenedObjectives)
 {
@@ -431,37 +434,6 @@ TieredBackend::absorb(const Objectives &screenedObjectives)
         return dominates(screenedObjectives, member);
     });
     analyticalFront.push_back(screenedObjectives);
-}
-
-bool
-TieredBackend::shouldPromote(const HypervolumeContribution &frontGain,
-                             const Objectives &screenedObjectives) const
-{
-    // Band semantics: improve the candidate componentwise by the band
-    // fraction; promote when that relaxed point still contributes
-    // fresh hypervolume against the analytical front. Front members
-    // always pass (their relaxation dominates their own front entry,
-    // adding a shell of volume); points within the band behind the
-    // front pass because the relaxation lifts them past it; deeply
-    // dominated points fail.
-    Objectives relaxed = screenedObjectives;
-    for (double &component : relaxed)
-        component *= 1.0 - band_;
-    return frontGain(relaxed) > 0.0;
-}
-
-void
-TieredBackend::foldError(double analyticalLatencyMs,
-                         double cycleLatencyMs)
-{
-    if (!tierPolicy.adaptive || cycleLatencyMs <= 0.0)
-        return;
-    errorSum_ += std::abs(analyticalLatencyMs - cycleLatencyMs) /
-                 cycleLatencyMs;
-    ++errorCount_;
-    const double tuned =
-        tierPolicy.errorMargin * (errorSum_ / errorCount_);
-    band_ = std::clamp(tuned, tierPolicy.minBand, tierPolicy.maxBand);
 }
 
 void
@@ -499,8 +471,8 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
         std::lock_guard<std::mutex> lock(stateMutex);
         for (const Evaluation &screenedEval : screenedEvals)
             absorb(screenedEval.objectives);
-        const HypervolumeContribution frontGain(
-            analyticalFront, tierPolicy.referencePoint);
+        const HypervolumeContribution frontGain(analyticalFront,
+                                                promotionReference);
         for (std::size_t i = 0; i < points.size(); ++i) {
             if (shouldPromote(frontGain, screenedEvals[i].objectives))
                 promotedIndices.push_back(i);
@@ -530,7 +502,6 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
         commit(i, std::move(evaluation));
     }
 
-    std::vector<double> cycleLatencyMs(promotedIndices.size(), 0.0);
     util::parallel_for(
         pool, promotedIndices.size(), [&](std::size_t p) {
             const std::size_t i = promotedIndices[p];
@@ -540,27 +511,8 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
                 util::ScopedTimer timer(simulate_hist);
                 evaluation = verify.evaluate(points[i]);
             }
-            cycleLatencyMs[p] = evaluation.latencyMs;
             commit(i, std::move(evaluation));
         });
-
-    // --- 4. Adaptive band update (serial, request order) ---
-    // Every promotion measured the same point on both engines; fold
-    // the observed relative latency errors in promotion order so the
-    // band trajectory is deterministic, and let the next batch promote
-    // against the re-tuned band.
-    if (tierPolicy.adaptive && !promotedIndices.empty()) {
-        std::lock_guard<std::mutex> lock(stateMutex);
-        for (std::size_t p = 0; p < promotedIndices.size(); ++p) {
-            foldError(screenedEvals[promotedIndices[p]].latencyMs,
-                      cycleLatencyMs[p]);
-        }
-        if (telemetry_on) {
-            telemetry.metrics()
-                .gauge("dse.tiered.band_ppm")
-                .set(static_cast<std::int64_t>(band_ * 1e6));
-        }
-    }
 }
 
 void
@@ -570,20 +522,15 @@ TieredBackend::warmStart(std::span<const Evaluation> replayed)
         return;
     // The journal is a whole-batch, request-order prefix of the
     // interrupted run, so re-screening it row by row performs exactly
-    // the absorb/fold sequence the original batches performed - the
-    // front, the counters and the adaptive error sums land on
-    // byte-identical values. The screen is the pure analytical engine;
-    // no cycle-accurate work is repeated (promoted rows replay their
-    // journaled cycle latency into the error fold).
+    // the absorb sequence the original batches performed - the front
+    // and the counters land on byte-identical values. The screen is the
+    // pure analytical engine; no cycle-accurate work is repeated.
     std::lock_guard<std::mutex> lock(stateMutex);
     for (const Evaluation &row : replayed) {
-        const Evaluation screened = screen.evaluate(row.point);
-        absorb(screened.objectives);
+        absorb(screen.evaluate(row.point).objectives);
         ++screened_;
-        if (row.fidelity != Fidelity::Analytical) {
+        if (row.fidelity != Fidelity::Analytical)
             ++promoted_;
-            foldError(screened.latencyMs, row.latencyMs);
-        }
     }
 }
 
@@ -611,15 +558,6 @@ fidelityName(Fidelity fidelity)
       case Fidelity::Mixed:         return "mixed";
     }
     return "?";
-}
-
-Fidelity
-fidelityFromName(const std::string &name)
-{
-    Fidelity fidelity = Fidelity::Analytical;
-    util::fatalIf(!tryFidelityFromName(name, fidelity),
-                  "fidelityFromName: unknown fidelity '" + name + "'");
-    return fidelity;
 }
 
 bool

@@ -35,7 +35,7 @@
  *    it was written with.
  *  - TieredBackend ("tiered"): cheap-screen / accurate-verify. Every
  *    point is screened analytically; only points whose screened
- *    objectives are Pareto-competitive (within a configurable
+ *    objectives are Pareto-competitive (within a fixed 2 %
  *    hypervolume-contribution band of the running analytical front) are
  *    promoted to a cycle-timeline re-evaluation. Each Evaluation
  *    records which fidelity produced its archived numbers.
@@ -76,8 +76,6 @@
 
 namespace autopilot::dse
 {
-
-class HypervolumeContribution;
 
 /** Everything a backend needs besides the design point itself. */
 struct BackendContext
@@ -150,9 +148,8 @@ class EvalBackend
      * prefix of the interrupted run, because the journal commits whole
      * batches in request order. No-op for stateless backends; the
      * tiered backend re-screens the prefix to restore its analytical
-     * front, counters and adaptive error statistics to byte-identical
-     * values, so a resumed run promotes exactly as the uninterrupted
-     * one would.
+     * front and counters to byte-identical values, so a resumed run
+     * promotes exactly as the uninterrupted one would.
      */
     virtual void warmStart(std::span<const Evaluation> replayed);
 };
@@ -369,49 +366,6 @@ class DramBackend : public CycleTimelineBackend
         : CycleTimelineBackend(context, "dram", MemoryModel::Bank) {}
 };
 
-/** Tiered-promotion policy knobs. */
-struct TieredPolicy
-{
-    /**
-     * Relative hypervolume-contribution band. A screened point is
-     * promoted to cycle-accurate re-evaluation when its analytical
-     * objectives, improved componentwise by this fraction, still
-     * contribute hypervolume against the running analytical front
-     * (batch already absorbed) - i.e. the point is on the front or
-     * within the band behind it. Must be positive: the relaxation is
-     * also what lets a front member pass against its own front entry.
-     * Wide enough to cover the analytical engine's timing error so
-     * true front members are not screened out; the default tracks the
-     * engine-validation p95 error (~1-2 %, see
-     * bench_engine_validation) with margin.
-     */
-    double promotionBand = 0.02;
-    /// Reference point for the contribution test ({1 - success, watts,
-    /// ms}, minimized). Points entirely outside the box are never
-    /// promoted - matching the OptimizerConfig default, which gives
-    /// designs hotter than ~12 W or slower than ~120 ms no credit.
-    Objectives referencePoint = {1.0, 12.0, 120.0};
-
-    /**
-     * Adaptive band: re-tune the promotion band from the analytical
-     * engine's *measured* error during the run instead of trusting the
-     * static default. Every promotion yields a free error sample (the
-     * same point costed by both engines); after each batch the band is
-     * set to errorMargin x the mean relative latency error observed so
-     * far, clamped to [minBand, maxBand]. An optimistic analytical
-     * model widens the band (so true front members near the boundary
-     * are not screened out); an accurate one narrows it (fewer wasted
-     * cycle-accurate runs). Deterministic: errors fold in request
-     * order, so the band trajectory is byte-identical at any thread
-     * count and across kill/resume (warmStart() reconstructs it from
-     * the journal).
-     */
-    bool adaptive = false;
-    double minBand = 0.005;  ///< Adaptive clamp floor.
-    double maxBand = 0.10;   ///< Adaptive clamp ceiling.
-    double errorMargin = 2.0; ///< Band = margin x mean observed error.
-};
-
 /**
  * Analytical screen + selective cycle-accurate verification.
  *
@@ -426,6 +380,18 @@ struct TieredPolicy
  * Fidelity::CycleAccurate - so downstream consumers always know which
  * cost model produced each row.
  *
+ * Promotion rule (fixed): a screened point is promoted when its
+ * analytical objectives, improved componentwise by a 2 % band, still
+ * contribute hypervolume against the running analytical front within
+ * the reference box {1 - success, watts, ms} = {1, 12, 120} - i.e. the
+ * point is on the front or within the band behind it. The band is sized
+ * to the analytical engine's timing error against the cycle timeline
+ * (bench_engine_validation: mean 1.7 %, p95 3.9 %) so true front
+ * members are rarely screened out, and it is also what lets a front
+ * member pass against its own front entry. The box matches the
+ * OptimizerConfig default reference, which gives designs hotter than
+ * ~12 W or slower than ~120 ms no credit.
+ *
  * Step (2) is the only stateful step and is sequenced on the calling
  * thread, so a fixed request sequence yields byte-identical results at
  * any thread count. Concurrent callers are serialized by a mutex but
@@ -434,8 +400,7 @@ struct TieredPolicy
 class TieredBackend : public EvalBackend
 {
   public:
-    TieredBackend(const BackendContext &context,
-                  const TieredPolicy &policy = {});
+    explicit TieredBackend(const BackendContext &context);
 
     std::string name() const override { return "tiered"; }
     Fidelity fidelity() const override { return Fidelity::Mixed; }
@@ -445,40 +410,21 @@ class TieredBackend : public EvalBackend
                        const CommitFn &commit) override;
 
     /**
-     * Restore the analytical front, screen/promotion counters and
-     * adaptive error statistics from a journal prefix by re-screening
-     * every replayed point (pure, cheap) in journal order. Rows that
-     * were promoted (any non-analytical fidelity) contribute their
-     * journaled cycle numbers to the adaptive error fold, so the band
-     * trajectory resumes byte-identically without re-running the cycle
-     * engine.
+     * Restore the analytical front and the screen/promotion counters
+     * from a journal prefix by re-screening every replayed point (pure,
+     * cheap) in journal order; rows with any non-analytical fidelity
+     * count as promoted. No cycle-accurate work is repeated.
      */
     void warmStart(std::span<const Evaluation> replayed) override;
-
-    const TieredPolicy &policy() const { return tierPolicy; }
 
     /** Points screened / promoted so far (monotonic). Thread-safe. */
     std::size_t screenedCount() const;
     std::size_t promotedCount() const;
 
-    /** The promotion band currently in force (== policy().promotionBand
-     * unless adaptive). Thread-safe. */
-    double currentBand() const;
-
   private:
     /// Fold one screened objective vector into the running analytical
     /// front. Caller holds stateMutex.
     void absorb(const Objectives &screened);
-
-    /// Band-relaxed hypervolume-contribution test against the running
-    /// front, whose sweep @p frontGain is built once per batch. Caller
-    /// holds stateMutex.
-    bool shouldPromote(const HypervolumeContribution &frontGain,
-                       const Objectives &screened) const;
-
-    /// Fold one promoted point's analytical-vs-cycle relative latency
-    /// error and re-derive the adaptive band. Caller holds stateMutex.
-    void foldError(double analyticalLatencyMs, double cycleLatencyMs);
 
     AnalyticalBackend screen;
     /// The verify tier: the Bank memory model when the context's
@@ -488,17 +434,12 @@ class TieredBackend : public EvalBackend
     /// profile is the Ideal model. Promoted rows archive the verify
     /// tier's fidelity (BankAccurate or CycleAccurate).
     CycleTimelineBackend verify;
-    TieredPolicy tierPolicy;
 
     mutable std::mutex stateMutex;
     /// Non-dominated analytical objectives seen so far.
     std::vector<Objectives> analyticalFront;
     std::size_t screened_ = 0;
     std::size_t promoted_ = 0;
-    /// Band in force; tracks the adaptive fold, else the static policy.
-    double band_;
-    double errorSum_ = 0.0;      ///< Sum of relative latency errors.
-    std::size_t errorCount_ = 0; ///< Promotions folded so far.
 };
 
 } // namespace autopilot::dse

@@ -35,14 +35,10 @@ enum class Fidelity
 /** Stable lowercase label ("analytical", "cycle", "bank", "mixed"). */
 std::string fidelityName(Fidelity fidelity);
 
-/** Inverse of fidelityName (fatal on an unknown label). */
-Fidelity fidelityFromName(const std::string &name);
-
 /**
- * Non-fatal inverse of fidelityName: store the value and return true,
- * or leave @p fidelity untouched and return false on an unknown label.
- * Used by tolerant readers (journal replay) that must diagnose corrupt
- * rows instead of aborting.
+ * Inverse of fidelityName: store the value and return true, or leave
+ * @p fidelity untouched and return false on an unknown label, so the
+ * archive reader can diagnose a corrupt row instead of aborting.
  */
 bool tryFidelityFromName(const std::string &name, Fidelity &fidelity);
 

@@ -181,8 +181,8 @@ void
 DseEvaluator::preload(std::span<const Evaluation> evaluations)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    // The backend restores its cross-point state (tiered front,
-    // adaptive band) from the same prefix the cache is loaded from.
+    // The backend restores its cross-point state (the tiered front and
+    // counters) from the same prefix the cache is loaded from.
     evalBackend->warmStart(evaluations);
     for (const Evaluation &evaluation : evaluations) {
         // Re-encode through THIS evaluator's space so cache keys are

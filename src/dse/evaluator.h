@@ -116,9 +116,9 @@ class DseEvaluator
                  const std::vector<int> &precisions = {1});
 
     /**
-     * Construct with an explicit backend instance (for tests and
-     * custom-configured backends, e.g. a TieredBackend with a
-     * non-default promotion band). @p backend must not be null.
+     * Construct with an explicit backend instance (for tests that keep
+     * a typed handle on it, and for backends built outside the
+     * registry). @p backend must not be null.
      */
     DseEvaluator(const airlearning::PolicyDatabase &database,
                  airlearning::ObstacleDensity density,

@@ -258,14 +258,6 @@ HypervolumeContribution::operator()(const Objectives &candidate) const
     return std::max(0.0, grown - base);
 }
 
-double
-hypervolumeContribution(const std::vector<Objectives> &points,
-                        const Objectives &candidate,
-                        const Objectives &reference)
-{
-    return HypervolumeContribution(points, reference)(candidate);
-}
-
 Objectives
 defaultReference(const std::vector<Objectives> &points, double margin)
 {

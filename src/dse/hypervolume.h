@@ -104,16 +104,6 @@ class HypervolumeContribution
 };
 
 /**
- * Hypervolume gained by adding @p candidate to @p points.
- *
- * Non-negative; zero when the candidate is dominated. One-off form of
- * HypervolumeContribution; build the object to screen many candidates.
- */
-double hypervolumeContribution(const std::vector<Objectives> &points,
-                               const Objectives &candidate,
-                               const Objectives &reference);
-
-/**
  * A reference point for a point set: the componentwise maximum plus a
  * @p margin fraction of the per-component range (at least an absolute
  * floor to keep extreme points contributing).

@@ -6,12 +6,8 @@
 #include <limits>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace autopilot::io
 {
-
-using util::fatalIf;
 
 namespace
 {
@@ -63,55 +59,6 @@ splitCsvLine(const std::string &line)
     return fields;
 }
 
-std::vector<std::vector<std::string>>
-readCsv(std::istream &is, const std::vector<std::string> &expected_header)
-{
-    std::size_t matched = 0;
-    return readCsvAny(is, {expected_header}, matched);
-}
-
-std::vector<std::vector<std::string>>
-readCsvAny(std::istream &is,
-           const std::vector<std::vector<std::string>> &accepted_headers,
-           std::size_t &matched_header)
-{
-    // getline() splits on '\n' only, so files written with CRLF line
-    // endings (Windows tools, some spreadsheet exports) leave a '\r' on
-    // every line; strip it so both conventions round-trip identically.
-    auto getCsvLine = [&is](std::string &line) {
-        if (!std::getline(is, line))
-            return false;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        return true;
-    };
-
-    std::string line;
-    fatalIf(!getCsvLine(line), "readCsv: empty stream");
-    const std::vector<std::string> header = splitCsvLine(line);
-    bool known = false;
-    for (std::size_t h = 0; h < accepted_headers.size(); ++h) {
-        if (header == accepted_headers[h]) {
-            matched_header = h;
-            known = true;
-            break;
-        }
-    }
-    fatalIf(!known, "readCsv: unexpected header '" + line + "'");
-    const std::size_t width = accepted_headers[matched_header].size();
-
-    std::vector<std::vector<std::string>> rows;
-    while (getCsvLine(line)) {
-        if (line.empty())
-            continue;
-        std::vector<std::string> fields = splitCsvLine(line);
-        fatalIf(fields.size() != width,
-                "readCsv: ragged row '" + line + "'");
-        rows.push_back(std::move(fields));
-    }
-    return rows;
-}
-
 std::string
 tryParseDouble(const std::string &text, double &value)
 {
@@ -155,33 +102,6 @@ tryParseInt64(const std::string &text, long long &value)
         return "bad integer '" + text + "' (outside the 64-bit range)";
     value = parsed;
     return {};
-}
-
-double
-parseDouble(const std::string &text)
-{
-    double value = 0.0;
-    const std::string reason = tryParseDouble(text, value);
-    fatalIf(!reason.empty(), "parseDouble: " + reason);
-    return value;
-}
-
-int
-parseInt(const std::string &text)
-{
-    int value = 0;
-    const std::string reason = tryParseInt(text, value);
-    fatalIf(!reason.empty(), "parseInt: " + reason);
-    return value;
-}
-
-long long
-parseInt64(const std::string &text)
-{
-    long long value = 0;
-    const std::string reason = tryParseInt64(text, value);
-    fatalIf(!reason.empty(), "parseInt64: " + reason);
-    return value;
 }
 
 } // namespace autopilot::io

@@ -1,14 +1,15 @@
 /**
  * @file
- * Minimal CSV reading helpers for the persistence layer. Our files are
- * machine-written numeric tables, so no quoting/escaping is needed; the
- * parser is strict and fails loudly on malformed input.
+ * CSV field helpers for the persistence readers and the CLI. Our files
+ * are machine-written numeric tables, so no quoting/escaping is needed.
+ * Line framing (CRLF tolerance, header matching, line numbers) lives in
+ * the file readers (persistence.h, journal.h); these helpers split one
+ * line and parse one field, returning a reason instead of aborting.
  */
 
 #ifndef AUTOPILOT_IO_CSV_H
 #define AUTOPILOT_IO_CSV_H
 
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -19,41 +20,10 @@ namespace autopilot::io
 std::vector<std::string> splitCsvLine(const std::string &line);
 
 /**
- * Read a CSV stream: first line is the header, remaining lines are rows.
- *
- * @param is              Input stream.
- * @param expected_header Exact header fields required (fatal otherwise).
- * @return Rows, each with exactly expected_header.size() fields (fatal
- *         on ragged rows). Empty lines are skipped.
- */
-std::vector<std::vector<std::string>> readCsv(
-    std::istream &is, const std::vector<std::string> &expected_header);
-
-/**
- * Like readCsv, but the header may match any one of
- * @p accepted_headers (fatal when none matches). Used by readers that
- * accept a legacy file layout next to the current one.
- *
- * @param matched_header Set to the index of the header that matched;
- *        rows are validated against that header's width.
- */
-std::vector<std::vector<std::string>> readCsvAny(
-    std::istream &is,
-    const std::vector<std::vector<std::string>> &accepted_headers,
-    std::size_t &matched_header);
-
-/** Parse helpers that fail via fatal() with the offending text. */
-double parseDouble(const std::string &text);
-int parseInt(const std::string &text);
-long long parseInt64(const std::string &text);
-
-/**
- * Non-fatal parse variants for readers that must survive corrupt input
- * (journal replay truncating at a torn record). On success the value is
- * stored and the empty string returned; on failure the return value is
- * the reason ("bad number 'x' (leading/trailing whitespace)", ...) and
- * @p value is untouched. The fatal variants above are these plus
- * fatal(), so both families reject exactly the same inputs.
+ * Strict numeric field parsers. On success the value is stored and the
+ * empty string returned; on failure the return value is the reason
+ * ("bad number 'x' (leading/trailing whitespace)", ...) and @p value
+ * is untouched, so a reader can name the bad field in its diagnosis.
  */
 std::string tryParseDouble(const std::string &text, double &value);
 std::string tryParseInt(const std::string &text, int &value);

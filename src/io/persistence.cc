@@ -145,6 +145,16 @@ archiveHeaderOfWidth(std::size_t width)
     return header;
 }
 
+/** True when @p header is the column table's prefix at one of the
+ * layout widths ever written. */
+bool
+knownArchiveHeader(const std::vector<std::string> &header)
+{
+    return std::find(std::begin(archiveWidths), std::end(archiveWidths),
+                     header.size()) != std::end(archiveWidths) &&
+           header == archiveHeaderOfWidth(header.size());
+}
+
 std::string
 formatDouble(double value)
 {
@@ -347,17 +357,6 @@ tryReadPolicyDatabase(std::istream &is, ParseDiag &diag)
     return db;
 }
 
-airlearning::PolicyDatabase
-readPolicyDatabase(std::istream &is)
-{
-    ParseDiag diag;
-    airlearning::PolicyDatabase db = tryReadPolicyDatabase(is, diag);
-    util::fatalIf(!diag.ok, "readPolicyDatabase: " + diag.reason +
-                                " at line " +
-                                std::to_string(diag.line));
-    return db;
-}
-
 const std::vector<std::string> &
 dseArchiveHeader()
 {
@@ -372,19 +371,6 @@ dsePrecisionArchiveHeader()
     static const std::vector<std::string> header =
         archiveHeaderOfWidth(std::size(archiveColumns));
     return header;
-}
-
-const std::vector<std::vector<std::string>> &
-dseArchiveAcceptedHeaders()
-{
-    static const std::vector<std::vector<std::string>> accepted = [] {
-        std::vector<std::vector<std::string>> headers;
-        for (auto width = std::rbegin(archiveWidths);
-             width != std::rend(archiveWidths); ++width)
-            headers.push_back(archiveHeaderOfWidth(*width));
-        return headers;
-    }();
-    return accepted;
 }
 
 void
@@ -442,10 +428,8 @@ tryReadDseArchive(std::istream &is, ParseDiag &diag)
         diag = {false, 1, "empty stream"};
         return archive;
     }
-    const auto &accepted = dseArchiveAcceptedHeaders();
     const std::vector<std::string> header = splitCsvLine(line);
-    if (std::find(accepted.begin(), accepted.end(), header) ==
-        accepted.end()) {
+    if (!knownArchiveHeader(header)) {
         failAt(diag, reader, "unexpected header '" + line + "'");
         return archive;
     }
@@ -467,16 +451,6 @@ tryReadDseArchive(std::istream &is, ParseDiag &diag)
         }
         archive.push_back(std::move(eval));
     }
-    return archive;
-}
-
-std::vector<dse::Evaluation>
-readDseArchive(std::istream &is)
-{
-    ParseDiag diag;
-    std::vector<dse::Evaluation> archive = tryReadDseArchive(is, diag);
-    util::fatalIf(!diag.ok, "readDseArchive: " + diag.reason +
-                                " at line " + std::to_string(diag.line));
     return archive;
 }
 

@@ -6,11 +6,11 @@
  * reused ("Phase 1 and 2 take the most time; Phase 3 is negligible");
  * persistence makes the reuse survive process boundaries.
  *
- * Two reader families share one decoder: the classic read*() calls are
- * fatal on any malformed input (a corrupt archive handed to a bench is
- * a usage error), while the tryRead*() variants return a ParseDiag
- * naming the first bad line and keep every row before it - exactly what
- * journal replay needs to truncate at a torn final record after a kill.
+ * One reader per format: tryReadPolicyDatabase and tryReadDseArchive
+ * never abort on malformed input. They return a ParseDiag naming the
+ * first bad line and keep every row before it - exactly what journal
+ * replay needs to truncate at a torn final record after a kill, and
+ * what every other caller turns into its own named diagnosis.
  */
 
 #ifndef AUTOPILOT_IO_PERSISTENCE_H
@@ -70,13 +70,10 @@ struct ParseDiag
 void writePolicyDatabase(const airlearning::PolicyDatabase &db,
                          std::ostream &os);
 
-/** Read a policy database written by writePolicyDatabase (fatal on
- * malformed input). */
-airlearning::PolicyDatabase readPolicyDatabase(std::istream &is);
-
 /**
- * Non-fatal readPolicyDatabase: parse until the first malformed line,
- * reporting it in @p diag and returning the records before it.
+ * Read a policy database written by writePolicyDatabase: parse until
+ * the first malformed line, reporting it in @p diag and returning the
+ * records before it.
  */
 airlearning::PolicyDatabase tryReadPolicyDatabase(std::istream &is,
                                                   ParseDiag &diag);
@@ -102,14 +99,6 @@ const std::vector<std::string> &dseArchiveHeader();
  * whenever the Phase 2 precision axis is searchable. */
 const std::vector<std::string> &dsePrecisionArchiveHeader();
 
-/**
- * Every archive header this reader family accepts, widest first, back
- * to the pre-backend 12-column one. Suitable as the accepted_headers
- * argument of io::readCsvAny, so external tooling reads older
- * archives/journals exactly as tryReadDseArchive does.
- */
-const std::vector<std::vector<std::string>> &dseArchiveAcceptedHeaders();
-
 /** Write the archive header line: the precision layout when
  * @p precisionLabels (rows carry precision labels), else the 17-column
  * one. The layout decision of every archive and journal writer. */
@@ -124,17 +113,13 @@ void writeDseArchive(const std::vector<dse::Evaluation> &archive,
 void writeDseArchiveRow(const dse::Evaluation &eval, std::ostream &os);
 
 /**
- * Read an archive written by writeDseArchive. Design points are decoded
- * through the default DesignSpace; objective vectors are rebuilt from
- * the stored metrics.
- */
-std::vector<dse::Evaluation> readDseArchive(std::istream &is);
-
-/**
- * Non-fatal readDseArchive: parse until the first malformed line
- * (torn final record, ragged row, bad number, out-of-range choice
- * index, unknown fidelity), reporting it in @p diag - the reason names
- * the column - and returning the evaluations before it.
+ * Read an archive written by writeDseArchive (or any older layout, see
+ * above). Design points are decoded through the default DesignSpace;
+ * objective vectors are rebuilt from the stored metrics. Parses until
+ * the first malformed line (torn final record, ragged row, bad number,
+ * out-of-range choice index, unknown fidelity), reporting it in
+ * @p diag - the reason names the column - and returning the
+ * evaluations before it.
  */
 std::vector<dse::Evaluation> tryReadDseArchive(std::istream &is,
                                                ParseDiag &diag);

@@ -112,8 +112,9 @@ printCampaignReport(const CampaignReport &report, std::ostream &os)
 CampaignRunner::CampaignRunner(const CampaignConfig &config)
     : cfg(config)
 {
-    util::fatalIf(cfg.concurrency < 0,
-                  "CampaignRunner: concurrency must be >= 0");
+    util::fatalIf(cfg.concurrency < 0 || cfg.concurrency > maxThreads,
+                  "CampaignRunner: concurrency must be in [0, " +
+                      std::to_string(maxThreads) + "]");
     util::validateRetryPolicy(cfg.retry);
 }
 
@@ -189,6 +190,11 @@ CampaignRunner::run(std::span<const CampaignTask> tasks)
                           task.deadlineSeconds < 0.0,
                       "CampaignRunner: deadline on task '" + task.name +
                           "' must be finite and >= 0");
+        util::fatalIf(task.spec.threads < 0 ||
+                          task.spec.threads > maxThreads,
+                      "CampaignRunner: threads on task '" + task.name +
+                          "' must be in [0, " +
+                          std::to_string(maxThreads) + "]");
     }
 
     util::TraceSpan span("campaign", "runner");

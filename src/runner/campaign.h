@@ -86,6 +86,14 @@ struct TaskOutcome
     core::AutoPilotRun run; ///< Valid only when Succeeded.
 };
 
+/**
+ * Largest thread count an input from outside the process may ask for:
+ * TaskSpec::threads (the `threads` key), CampaignConfig::concurrency
+ * and ServiceConfig::poolThreads. Far above any useful pool on one
+ * host, and far below a count whose thread creation fails part-way.
+ */
+constexpr int maxThreads = 256;
+
 /** Campaign-level orchestration knobs. */
 struct CampaignConfig
 {
@@ -97,8 +105,9 @@ struct CampaignConfig
     /// TaskSpec::resume). Tasks without matching files start fresh.
     bool resume = false;
     /// Tasks executed concurrently; 1 runs them serially on the
-    /// calling thread, 0 uses the hardware concurrency. Task-internal
-    /// parallelism is separate (TaskSpec::threads).
+    /// calling thread, 0 uses the hardware concurrency; at most
+    /// maxThreads. Task-internal parallelism is separate
+    /// (TaskSpec::threads).
     int concurrency = 1;
     /// Retry policy for transient failures. The default retries
     /// everything except util::DeadlineExceeded and

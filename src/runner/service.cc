@@ -221,7 +221,10 @@ applyTaskKeys(const std::map<std::string, io::JsonValue> &keys,
         } else if (key == "budget") {
             ok = intField(value, spec.dseBudget) && spec.dseBudget >= 1;
         } else if (key == "threads") {
-            ok = intField(value, spec.threads);
+            ok = intField(value, spec.threads) && spec.threads <= maxThreads;
+            if (!ok)
+                detail = "want an integer in [0, " +
+                         std::to_string(maxThreads) + "]";
         } else if (key == "seed") {
             int seed = 0;
             ok = intField(value, seed);
@@ -448,8 +451,9 @@ CampaignService::CampaignService(const ServiceConfig &config)
                   "CampaignService: rootDir is required");
     util::fatalIf(cfg.maxActiveCampaigns < 1,
                   "CampaignService: maxActiveCampaigns must be >= 1");
-    util::fatalIf(cfg.poolThreads < 0,
-                  "CampaignService: poolThreads must be >= 0");
+    util::fatalIf(cfg.poolThreads < 0 || cfg.poolThreads > maxThreads,
+                  "CampaignService: poolThreads must be in [0, " +
+                      std::to_string(maxThreads) + "]");
     util::fatalIf(!std::isfinite(cfg.pollSeconds) || cfg.pollSeconds < 0.0,
                   "CampaignService: pollSeconds must be finite and >= 0");
     util::fatalIf(cfg.maxCampaigns < 0,

@@ -76,8 +76,9 @@ struct CampaignSubmission
  * caller's defaults; a field no key names keeps its default.
  *
  * Keys: density (low|medium|dense), episodes, budget, seed, threads
- * (integers), optimizer (dse::optimizerNames), backend (registry
- * names), uav (nano|spark|pelican), deadline_s, camera_mbps, host_mbps,
+ * (integers; threads at most maxThreads), optimizer
+ * (dse::optimizerNames), backend (registry names), uav
+ * (nano|spark|pelican), deadline_s, camera_mbps, host_mbps,
  * npu_floor (numbers), dram_banks, row_policy (open|closed),
  * dram_timing ("tCAS:tRCD:tRP[:tREFI:tRFC]"), precision
  * ("int8[,fp16[,fp32]]"), airframe (quad|fixed-wing: single-scenario
@@ -135,7 +136,7 @@ struct ServiceConfig
     /// tenant's round-robin turn. Must be >= 1.
     int maxActiveCampaigns = 2;
     /// Worker threads in the shared pool all campaigns execute on; 0
-    /// uses the hardware concurrency.
+    /// uses the hardware concurrency; at most maxThreads.
     int poolThreads = 0;
     /// Inbox scan / reap interval.
     double pollSeconds = 0.2;

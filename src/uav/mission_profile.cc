@@ -148,9 +148,9 @@ MissionMix::check(std::string &error) const
             error = "duplicate scenario name '" + scenario.name + "'";
             return false;
         }
-        if (!std::isfinite(scenario.weight) || scenario.weight <= 0.0) {
+        if (!(scenario.weight > 0.0 && scenario.weight <= maxWeight)) {
             error = "scenario '" + scenario.name +
-                    "' weight must be finite and > 0";
+                    "' weight must be in (0, 1e6]";
             return false;
         }
         std::string profile_error;

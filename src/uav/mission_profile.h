@@ -74,7 +74,8 @@ struct MissionScenario
     std::string name = "nav"; ///< CSV/report tag; [a-z0-9_-], unique.
     AirframeKind airframe = AirframeKind::Quadrotor;
     MissionProfile profile;
-    double weight = 1.0; ///< Relative share in the fleet objective.
+    /// Relative share in the fleet objective, in (0, MissionMix::maxWeight].
+    double weight = 1.0;
 };
 
 /** The legacy scenario: quadrotor point-to-point at weight 1. */
@@ -84,6 +85,11 @@ MissionScenario defaultMissionScenario();
 struct MissionMix
 {
     std::vector<MissionScenario> scenarios;
+
+    /// Largest scenario weight check() accepts. Weights are relative
+    /// shares, so the bound costs nothing, and it keeps the weighted
+    /// sums of every scenario's missions and weights finite.
+    static constexpr double maxWeight = 1e6;
 
     /// True when the mix is the implicit legacy single-quadrotor
     /// point-to-point workload (and fingerprints must not change).

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace autopilot::util
@@ -87,23 +85,9 @@ Gauge::raiseHighWater(std::int64_t value)
 
 // --------------------------------------------------------- histogram ----
 
-Histogram::Histogram(std::vector<double> upperBounds)
-    : bounds(std::move(upperBounds)), buckets(bounds.size() + 1),
-      lowest(std::numeric_limits<double>::infinity()),
-      highest(-std::numeric_limits<double>::infinity())
-{
-    fatalIf(bounds.empty(), "Histogram: need at least one bucket bound");
-    fatalIf(!std::is_sorted(bounds.begin(), bounds.end()),
-            "Histogram: bucket bounds must be ascending");
-}
-
 void
 Histogram::record(double value)
 {
-    const std::size_t bucket = static_cast<std::size_t>(
-        std::lower_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin());
-    buckets[bucket].fetch_add(1, std::memory_order_relaxed);
     samples.fetch_add(1, std::memory_order_relaxed);
     atomicAdd(total, value);
     atomicMin(lowest, value);
@@ -129,25 +113,6 @@ Histogram::mean() const
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
-std::vector<std::uint64_t>
-Histogram::bucketCounts() const
-{
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets.size());
-    for (const std::atomic<std::uint64_t> &bucket : buckets)
-        counts.push_back(bucket.load(std::memory_order_relaxed));
-    return counts;
-}
-
-const std::vector<double> &
-Histogram::defaultLatencyBoundsSeconds()
-{
-    static const std::vector<double> bounds = {
-        1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3,
-        5e-3, 1e-2, 2e-2, 5e-2, 0.1,  0.2,  0.5,  1.0,  2.0,  5.0, 10.0};
-    return bounds;
-}
-
 // ---------------------------------------------------------- registry ----
 
 Counter &
@@ -171,13 +136,12 @@ MetricsRegistry::gauge(const std::string &name)
 }
 
 Histogram &
-MetricsRegistry::histogram(const std::string &name,
-                           const std::vector<double> &upperBounds)
+MetricsRegistry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mutex);
     std::unique_ptr<Histogram> &slot = histograms[name];
     if (!slot)
-        slot = std::make_unique<Histogram>(upperBounds);
+        slot = std::make_unique<Histogram>();
     return *slot;
 }
 

@@ -6,7 +6,7 @@
  * Three pieces, all thread-safe:
  *
  *  - MetricsRegistry: named monotonic Counters, last-value Gauges (with a
- *    high-water mark) and fixed-bucket latency Histograms. Instruments
+ *    high-water mark) and count/sum/min/max Histograms. Instruments
  *    are created on first use and live for the registry's lifetime, so
  *    handles can be cached across calls.
  *  - TraceLog: completed spans ({name, category, tid, start, duration})
@@ -33,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,20 +92,14 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram with sum/min/max/count aggregates.
- *
- * Buckets are defined by ascending upper bounds; a value lands in the
- * first bucket whose bound is >= the value, or in the implicit overflow
- * bucket past the last bound (bucketCounts() has bounds.size() + 1
- * entries). Recording is lock-free: per-bucket atomic adds plus CAS
- * loops for the floating-point aggregates.
+ * Sample distribution summarised by its count, sum, min and max - the
+ * aggregates every snapshot, CSV export and summary reads. Recording is
+ * lock-free: one atomic add plus CAS loops for the floating-point
+ * aggregates.
  */
 class Histogram
 {
   public:
-    /** @param upperBounds Ascending bucket upper bounds (not empty). */
-    explicit Histogram(std::vector<double> upperBounds);
-
     /** Record one sample. */
     void record(double value);
 
@@ -124,24 +119,11 @@ class Histogram
     /** Arithmetic mean of the samples (0 when empty). */
     double mean() const;
 
-    const std::vector<double> &bucketBounds() const { return bounds; }
-
-    /** Per-bucket counts; the last entry is the overflow bucket. */
-    std::vector<std::uint64_t> bucketCounts() const;
-
-    /**
-     * Default bounds for latencies measured in seconds: a 1-2-5
-     * progression from 1 us to 10 s (plus overflow).
-     */
-    static const std::vector<double> &defaultLatencyBoundsSeconds();
-
   private:
-    std::vector<double> bounds;
-    std::vector<std::atomic<std::uint64_t>> buckets; ///< bounds + overflow.
     std::atomic<std::uint64_t> samples{0};
     std::atomic<double> total{0.0};
-    std::atomic<double> lowest;
-    std::atomic<double> highest;
+    std::atomic<double> lowest{std::numeric_limits<double>::infinity()};
+    std::atomic<double> highest{-std::numeric_limits<double>::infinity()};
 };
 
 /** One row of a MetricsRegistry snapshot. */
@@ -170,14 +152,8 @@ class MetricsRegistry
     /** The gauge named @p name, created on first use. */
     Gauge &gauge(const std::string &name);
 
-    /**
-     * The histogram named @p name, created on first use with
-     * @p upperBounds (later calls ignore the bounds argument).
-     */
-    Histogram &histogram(
-        const std::string &name,
-        const std::vector<double> &upperBounds =
-            Histogram::defaultLatencyBoundsSeconds());
+    /** The histogram named @p name, created on first use. */
+    Histogram &histogram(const std::string &name);
 
     /** All instruments, sorted by name. */
     std::vector<MetricSample> snapshot() const;

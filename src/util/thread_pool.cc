@@ -31,8 +31,15 @@ ThreadPool::ThreadPool(std::size_t threads)
             threads = 1;
     }
     workers.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+    try {
+        for (std::size_t i = 0; i < threads; ++i)
+            workers.emplace_back([this, i] { workerLoop(i); });
+    } catch (...) {
+        // A thread that could not start must not leave the ones that
+        // did joinable: destroying a joinable std::thread terminates.
+        shutdown();
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()

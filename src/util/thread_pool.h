@@ -78,7 +78,9 @@ class ThreadPool
   public:
     /**
      * Start @p threads workers. A count of 0 falls back to
-     * std::thread::hardware_concurrency() (minimum 1).
+     * std::thread::hardware_concurrency() (minimum 1). When a worker
+     * cannot start, the ones that did are joined before the
+     * std::system_error propagates.
      */
     explicit ThreadPool(std::size_t threads = 0);
 

@@ -32,6 +32,8 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace dse = autopilot::dse;
 namespace al = autopilot::airlearning;
 namespace nn = autopilot::nn;
@@ -39,43 +41,16 @@ namespace sys = autopilot::systolic;
 namespace pw = autopilot::power;
 namespace util = autopilot::util;
 
+using autopilot::fixtures::sharedDatabase;
+using autopilot::fixtures::distinctEncodings;
+
 namespace
 {
-
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(nn::PolicySpace(), al::ObstacleDensity::Dense,
-                         built);
-        return built;
-    }();
-    return db;
-}
 
 dse::BackendContext
 sharedContext()
 {
     return {&sharedDatabase(), al::ObstacleDensity::Dense, {}};
-}
-
-std::vector<dse::Encoding>
-distinctEncodings(std::size_t count, std::uint64_t seed)
-{
-    const dse::DesignSpace space;
-    util::Rng rng(seed);
-    std::vector<dse::Encoding> out;
-    std::set<dse::Encoding> seen;
-    while (out.size() < count) {
-        const dse::Encoding encoding = space.randomEncoding(rng);
-        if (seen.insert(encoding).second)
-            out.push_back(encoding);
-    }
-    return out;
 }
 
 /**
@@ -316,89 +291,6 @@ TEST(TieredBackend, FrontMembersCarryCycleNumbers)
     }
     EXPECT_GE(2 * cycleOnFront, frontIdx.size())
         << "most of the final front should be cycle-verified";
-}
-
-// ------------------------------------------------------- adaptive band ----
-
-TEST(TieredBackend, StaticBandNeverMoves)
-{
-    dse::TieredPolicy policy;
-    ASSERT_FALSE(policy.adaptive);
-    dse::TieredBackend backend(sharedContext(), policy);
-    EXPECT_DOUBLE_EQ(backend.currentBand(), policy.promotionBand);
-
-    const auto points = distinctEncodings(24, 901);
-    dse::DseEvaluator evaluator(
-        sharedDatabase(), al::ObstacleDensity::Dense,
-        std::make_unique<dse::TieredBackend>(sharedContext(), policy));
-    evaluator.evaluateBatch(points);
-    const auto &tiered =
-        static_cast<const dse::TieredBackend &>(evaluator.backend());
-    EXPECT_DOUBLE_EQ(tiered.currentBand(), policy.promotionBand);
-}
-
-TEST(TieredBackend, AdaptiveBandTracksMeasuredErrorWithinClamp)
-{
-    dse::TieredPolicy policy;
-    policy.adaptive = true;
-    auto backend =
-        std::make_unique<dse::TieredBackend>(sharedContext(), policy);
-    const dse::TieredBackend *tiered = backend.get();
-    dse::DseEvaluator evaluator(sharedDatabase(),
-                                al::ObstacleDensity::Dense,
-                                std::move(backend));
-
-    const auto points = distinctEncodings(40, 902);
-    evaluator.evaluateBatch(points);
-    ASSERT_GT(tiered->promotedCount(), 0u)
-        << "no promotions means no error samples to adapt from";
-    // Promotions happened, so the band has been re-derived from
-    // measured analytical-vs-cycle latency error - it must sit inside
-    // the clamp and (with the default 2 % starting band and the
-    // engines' sub-percent agreement) should have moved off the
-    // default.
-    const double band = tiered->currentBand();
-    EXPECT_GE(band, policy.minBand);
-    EXPECT_LE(band, policy.maxBand);
-    EXPECT_NE(band, policy.promotionBand);
-}
-
-TEST(TieredBackend, AdaptiveBandIsDeterministicAcrossThreadCounts)
-{
-    const auto points = distinctEncodings(32, 903);
-    auto runAt = [&](std::size_t threads) {
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
-        dse::TieredPolicy policy;
-        policy.adaptive = true;
-        auto backend = std::make_unique<dse::TieredBackend>(
-            sharedContext(), policy);
-        const dse::TieredBackend *tiered = backend.get();
-        dse::DseEvaluator evaluator(sharedDatabase(),
-                                    al::ObstacleDensity::Dense,
-                                    std::move(backend));
-        evaluator.setThreadPool(pool.get());
-        const std::size_t half = points.size() / 2;
-        evaluator.evaluateBatch(
-            std::span<const dse::Encoding>(points.data(), half));
-        evaluator.evaluateBatch(std::span<const dse::Encoding>(
-            points.data() + half, points.size() - half));
-        return tiered->currentBand();
-    };
-    const double serial = runAt(1);
-    EXPECT_EQ(serial, runAt(2));
-    EXPECT_EQ(serial, runAt(4));
-}
-
-TEST(TieredBackendDeath, AdaptiveClampMustBeOrdered)
-{
-    dse::TieredPolicy policy;
-    policy.adaptive = true;
-    policy.minBand = 0.2;
-    policy.maxBand = 0.1;
-    EXPECT_EXIT(dse::TieredBackend(sharedContext(), policy),
-                ::testing::ExitedWithCode(1), "minBand");
 }
 
 // ------------------------------------------------------------ contention ----

@@ -48,6 +48,8 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace al = autopilot::airlearning;
 namespace dram = autopilot::dram;
 namespace dse = autopilot::dse;
@@ -55,6 +57,9 @@ namespace nn = autopilot::nn;
 namespace pw = autopilot::power;
 namespace sys = autopilot::systolic;
 namespace util = autopilot::util;
+
+using autopilot::fixtures::sharedDatabase;
+using autopilot::fixtures::distinctEncodings;
 
 namespace
 {
@@ -75,40 +80,10 @@ labTiming()
     return timing;
 }
 
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(nn::PolicySpace(), al::ObstacleDensity::Dense,
-                         built);
-        return built;
-    }();
-    return db;
-}
-
 dse::BackendContext
 dramContext(const dram::DramSpec &spec = {})
 {
     return {&sharedDatabase(), al::ObstacleDensity::Dense, {}, spec};
-}
-
-std::vector<dse::Encoding>
-distinctEncodings(std::size_t count, std::uint64_t seed)
-{
-    const dse::DesignSpace space;
-    util::Rng rng(seed);
-    std::vector<dse::Encoding> out;
-    std::set<dse::Encoding> seen;
-    while (out.size() < count) {
-        const dse::Encoding encoding = space.randomEncoding(rng);
-        if (seen.insert(encoding).second)
-            out.push_back(encoding);
-    }
-    return out;
 }
 
 /** The command counters @p banks has accumulated so far. */

@@ -21,27 +21,15 @@
 #include "dse/random_search.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace dse = autopilot::dse;
 namespace al = autopilot::airlearning;
 
+using autopilot::fixtures::sharedDatabase;
+
 namespace
 {
-
-/** One shared Phase 1 database for every optimizer test (cheap config). */
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(autopilot::nn::PolicySpace(),
-                         al::ObstacleDensity::Dense, built);
-        return built;
-    }();
-    return db;
-}
 
 dse::OptimizerConfig
 smallBudget(int budget, std::uint64_t seed = 42)

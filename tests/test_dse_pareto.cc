@@ -162,13 +162,10 @@ TEST(Hypervolume, MonotoneUnderAddition)
 
 TEST(Hypervolume, ContributionOfDominatedIsZero)
 {
-    const std::vector<Objectives> front = {{1.0, 1.0, 1.0}};
-    EXPECT_DOUBLE_EQ(dse::hypervolumeContribution(
-                         front, {2.0, 2.0, 2.0}, {3.0, 3.0, 3.0}),
-                     0.0);
-    EXPECT_GT(dse::hypervolumeContribution(front, {0.5, 2.0, 2.0},
-                                           {3.0, 3.0, 3.0}),
-              0.0);
+    const dse::HypervolumeContribution gain({{1.0, 1.0, 1.0}},
+                                            {3.0, 3.0, 3.0});
+    EXPECT_DOUBLE_EQ(gain({2.0, 2.0, 2.0}), 0.0);
+    EXPECT_GT(gain({0.5, 2.0, 2.0}), 0.0);
 }
 
 namespace
@@ -279,22 +276,20 @@ TEST(HypervolumeContribution, EmptyFrontAndClippedCandidates)
     EXPECT_DOUBLE_EQ(outside({2.0, 2.0, 2.0}), 1.0);
 }
 
-TEST(HypervolumeContribution, WrapperMatchesObject)
+TEST(HypervolumeContribution, StaircaseGainMatchesHandCount)
 {
-    const std::vector<Objectives> front = {
-        {0.0, 2.0, 2.0}, {2.0, 0.0, 2.0}, {2.0, 2.0, 0.0}};
-    const Objectives reference = {3.0, 3.0, 3.0};
-    const dse::HypervolumeContribution gain(front, reference);
-    for (const Objectives &candidate :
-         {Objectives{1.0, 1.0, 1.0}, Objectives{2.0, 2.0, 2.0},
-          Objectives{0.0, 0.0, 2.5}, Objectives{2.0, 0.0, 2.0}}) {
-        EXPECT_EQ(bits(gain(candidate)),
-                  bits(dse::hypervolumeContribution(front, candidate,
-                                                    reference)));
-    }
+    const dse::HypervolumeContribution gain(
+        {{0.0, 2.0, 2.0}, {2.0, 0.0, 2.0}, {2.0, 2.0, 0.0}},
+        {3.0, 3.0, 3.0});
     // (1,1,1) dominates the 2x2x2 box [1,3]^3, of which the staircase
     // already covers 2 + 2 + 2 - 1 - 1 - 1 + 1 = 4.
     EXPECT_DOUBLE_EQ(gain({1.0, 1.0, 1.0}), 4.0);
+    // Above z = 2 every front point is active, covering 5 of the 3x3
+    // cross-section: (0,0,2.5) adds the other 4 over a slab 0.5 thick.
+    EXPECT_DOUBLE_EQ(gain({0.0, 0.0, 2.5}), 2.0);
+    // Dominated by every member, or equal to one: no gain.
+    EXPECT_EQ(gain({2.0, 2.0, 2.0}), 0.0);
+    EXPECT_EQ(gain({2.0, 0.0, 2.0}), 0.0);
 }
 
 TEST(Hypervolume, AgreesWithMonteCarlo3D)

@@ -22,6 +22,36 @@ namespace al = autopilot::airlearning;
 namespace dse = autopilot::dse;
 namespace nn = autopilot::nn;
 
+namespace
+{
+
+/** tryReadDseArchive on input that must parse cleanly. */
+std::vector<dse::Evaluation>
+readCleanArchive(std::istream &is)
+{
+    io::ParseDiag diag;
+    std::vector<dse::Evaluation> archive = io::tryReadDseArchive(is, diag);
+    EXPECT_TRUE(diag.ok) << diag.reason << " at line " << diag.line;
+    return archive;
+}
+
+/** tryReadPolicyDatabase on input that must parse cleanly. */
+al::PolicyDatabase
+readCleanDatabase(std::istream &is)
+{
+    io::ParseDiag diag;
+    al::PolicyDatabase db = io::tryReadPolicyDatabase(is, diag);
+    EXPECT_TRUE(diag.ok) << diag.reason << " at line " << diag.line;
+    return db;
+}
+
+/** The policy database header line. */
+const char *const databaseHeaderLine =
+    "policy_id,layers,filters,density,success_rate,model_params,"
+    "model_macs,training_steps,converged\n";
+
+} // namespace
+
 // ---------------------------------------------------------------- csv ----
 
 TEST(Csv, SplitBasics)
@@ -37,39 +67,109 @@ TEST(Csv, SplitBasics)
 
 TEST(Csv, ReadWithHeaderValidation)
 {
-    std::istringstream is("x,y\n1,2\n3,4\n");
-    const auto rows = io::readCsv(is, {"x", "y"});
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[1][1], "4");
+    std::istringstream is(std::string(databaseHeaderLine) +
+                          "p1,5,32,low,0.9,100,200,1000,1\n"
+                          "p2,5,48,low,0.8,100,200,1000,0\n");
+    const al::PolicyDatabase db = readCleanDatabase(is);
+    ASSERT_EQ(db.size(), 2u);
+    EXPECT_EQ(db.all()[1].policyId, "p2");
+    EXPECT_FALSE(db.all()[1].converged);
 }
+
+// The *Death suites keep their names from when these inputs aborted;
+// each now asserts the reader's named diagnosis.
 
 TEST(CsvDeath, RejectsWrongHeader)
 {
     std::istringstream is("a,b\n1,2\n");
-    EXPECT_EXIT(io::readCsv(is, {"x", "y"}),
-                ::testing::ExitedWithCode(1), "header");
+    io::ParseDiag diag;
+    EXPECT_EQ(io::tryReadPolicyDatabase(is, diag).size(), 0u);
+    EXPECT_FALSE(diag.ok);
+    EXPECT_EQ(diag.line, 1u);
+    EXPECT_NE(diag.reason.find("header"), std::string::npos)
+        << diag.reason;
 }
 
 TEST(CsvDeath, RejectsRaggedRow)
 {
-    std::istringstream is("x,y\n1,2,3\n");
-    EXPECT_EXIT(io::readCsv(is, {"x", "y"}),
-                ::testing::ExitedWithCode(1), "ragged");
+    std::istringstream is(std::string(databaseHeaderLine) +
+                          "p1,5,32,low,0.9,100,200,1000,1,extra\n");
+    io::ParseDiag diag;
+    EXPECT_EQ(io::tryReadPolicyDatabase(is, diag).size(), 0u);
+    EXPECT_FALSE(diag.ok);
+    EXPECT_EQ(diag.line, 2u);
+    EXPECT_NE(diag.reason.find("ragged"), std::string::npos)
+        << diag.reason;
 }
 
 TEST(Csv, ParseNumbers)
 {
-    EXPECT_DOUBLE_EQ(io::parseDouble("2.5e-3"), 2.5e-3);
-    EXPECT_EQ(io::parseInt("-42"), -42);
-    EXPECT_EQ(io::parseInt64("123456789012"), 123456789012LL);
+    double number = 0.0;
+    int integer = 0;
+    long long wide = 0;
+    EXPECT_EQ(io::tryParseDouble("2.5e-3", number), "");
+    EXPECT_EQ(io::tryParseInt("-42", integer), "");
+    EXPECT_EQ(io::tryParseInt64("123456789012", wide), "");
+    EXPECT_DOUBLE_EQ(number, 2.5e-3);
+    EXPECT_EQ(integer, -42);
+    EXPECT_EQ(wide, 123456789012LL);
 }
+
+namespace
+{
+
+/** Success when @p reason contains @p needle. */
+::testing::AssertionResult
+mentions(const std::string &reason, const std::string &needle)
+{
+    if (reason.find(needle) != std::string::npos)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "'" << reason << "' does not mention '" << needle << "'";
+}
+
+/** The reason tryParseDouble gives for @p text ("" when it parses). */
+std::string
+doubleReason(const std::string &text)
+{
+    double value = 7.0;
+    const std::string reason = io::tryParseDouble(text, value);
+    if (!reason.empty()) {
+        EXPECT_EQ(value, 7.0) << "failed parse wrote its value";
+    }
+    return reason;
+}
+
+/** The reason tryParseInt gives for @p text ("" when it parses). */
+std::string
+intReason(const std::string &text)
+{
+    int value = 7;
+    const std::string reason = io::tryParseInt(text, value);
+    if (!reason.empty()) {
+        EXPECT_EQ(value, 7) << "failed parse wrote its value";
+    }
+    return reason;
+}
+
+/** The reason tryParseInt64 gives for @p text ("" when it parses). */
+std::string
+int64Reason(const std::string &text)
+{
+    long long value = 7;
+    const std::string reason = io::tryParseInt64(text, value);
+    if (!reason.empty()) {
+        EXPECT_EQ(value, 7) << "failed parse wrote its value";
+    }
+    return reason;
+}
+
+} // namespace
 
 TEST(CsvDeath, ParseRejectsGarbage)
 {
-    EXPECT_EXIT(io::parseDouble("12x"), ::testing::ExitedWithCode(1),
-                "bad number");
-    EXPECT_EXIT(io::parseInt(""), ::testing::ExitedWithCode(1),
-                "bad integer");
+    EXPECT_TRUE(mentions(doubleReason("12x"), "bad number"));
+    EXPECT_TRUE(mentions(intReason(""), "bad integer"));
 }
 
 TEST(CsvDeath, ParseRejectsWhitespaceAndEmpty)
@@ -77,20 +177,13 @@ TEST(CsvDeath, ParseRejectsWhitespaceAndEmpty)
     // strtod/strtol silently skip leading whitespace; the CSV parsers
     // must not, since whitespace in a machine-written numeric field
     // means the file is corrupt.
-    EXPECT_EXIT(io::parseDouble(" 2.5"), ::testing::ExitedWithCode(1),
-                "bad number");
-    EXPECT_EXIT(io::parseDouble("2.5 "), ::testing::ExitedWithCode(1),
-                "bad number");
-    EXPECT_EXIT(io::parseDouble(""), ::testing::ExitedWithCode(1),
-                "bad number.*empty");
-    EXPECT_EXIT(io::parseInt(" 42"), ::testing::ExitedWithCode(1),
-                "bad integer.*whitespace");
-    EXPECT_EXIT(io::parseInt("42\t"), ::testing::ExitedWithCode(1),
-                "bad integer");
-    EXPECT_EXIT(io::parseInt64(""), ::testing::ExitedWithCode(1),
-                "bad integer.*empty");
-    EXPECT_EXIT(io::parseInt64(" 7"), ::testing::ExitedWithCode(1),
-                "bad integer");
+    EXPECT_TRUE(mentions(doubleReason(" 2.5"), "bad number"));
+    EXPECT_TRUE(mentions(doubleReason("2.5 "), "bad number"));
+    EXPECT_TRUE(mentions(doubleReason(""), "bad number '' (empty"));
+    EXPECT_TRUE(mentions(intReason(" 42"), "bad integer ' 42' (leading"));
+    EXPECT_TRUE(mentions(intReason("42\t"), "bad integer"));
+    EXPECT_TRUE(mentions(int64Reason(""), "bad integer '' (empty"));
+    EXPECT_TRUE(mentions(int64Reason(" 7"), "bad integer"));
 }
 
 TEST(Csv, TryParseIntRejectsValuesOutsideTheIntRange)
@@ -140,15 +233,24 @@ TEST(Csv, SplitToleratesTrailingCarriageReturn)
 
 TEST(Csv, CrlfRoundTripsIdenticallyToLf)
 {
-    const std::string lf = "x,y\n1,2\n3,4\n";
-    const std::string crlf = "x,y\r\n1,2\r\n3,4\r\n";
+    const std::string rows[] = {
+        "policy_id,layers,filters,density,success_rate,model_params,"
+        "model_macs,training_steps,converged",
+        "p1,5,32,low,0.5,100,200,1000,1", "p2,5,48,low,0.25,100,200,1000,0"};
+    std::string lf;
+    std::string crlf;
+    for (const std::string &row : rows) {
+        lf += row + "\n";
+        crlf += row + "\r\n";
+    }
     std::istringstream lf_is(lf);
     std::istringstream crlf_is(crlf);
-    const auto lf_rows = io::readCsv(lf_is, {"x", "y"});
-    const auto crlf_rows = io::readCsv(crlf_is, {"x", "y"});
-    EXPECT_EQ(crlf_rows, lf_rows);
-    ASSERT_EQ(crlf_rows.size(), 2u);
-    EXPECT_EQ(crlf_rows[1][1], "4");
+    std::ostringstream from_lf;
+    std::ostringstream from_crlf;
+    io::writePolicyDatabase(readCleanDatabase(lf_is), from_lf);
+    io::writePolicyDatabase(readCleanDatabase(crlf_is), from_crlf);
+    EXPECT_EQ(from_crlf.str(), from_lf.str());
+    EXPECT_EQ(from_lf.str(), lf); // Exactly representable rates.
 }
 
 TEST(Csv, CrlfPolicyDatabaseLoads)
@@ -170,7 +272,7 @@ TEST(Csv, CrlfPolicyDatabaseLoads)
         crlf += c;
     }
     std::istringstream crlf_is(crlf);
-    const al::PolicyDatabase restored = io::readPolicyDatabase(crlf_is);
+    const al::PolicyDatabase restored = readCleanDatabase(crlf_is);
     ASSERT_EQ(restored.size(), db.size());
     for (const al::PolicyRecord &record : db.all()) {
         const auto loaded = restored.find(record.params, record.density);
@@ -192,8 +294,7 @@ TEST(Persistence, PolicyDatabaseRoundTrip)
 
     std::stringstream buffer;
     io::writePolicyDatabase(db, buffer);
-    const al::PolicyDatabase restored =
-        io::readPolicyDatabase(buffer);
+    const al::PolicyDatabase restored = readCleanDatabase(buffer);
 
     ASSERT_EQ(restored.size(), db.size());
     for (const al::PolicyRecord &record : db.all()) {
@@ -211,12 +312,14 @@ TEST(Persistence, PolicyDatabaseRoundTrip)
 
 TEST(PersistenceDeath, PolicyDatabaseRejectsBadSuccessRate)
 {
-    std::istringstream is(
-        "policy_id,layers,filters,density,success_rate,model_params,"
-        "model_macs,training_steps,converged\n"
-        "p,5,32,low,1.7,100,100,1000,1\n");
-    EXPECT_EXIT(io::readPolicyDatabase(is),
-                ::testing::ExitedWithCode(1), "success rate");
+    std::istringstream is(std::string(databaseHeaderLine) +
+                          "p,5,32,low,1.7,100,100,1000,1\n");
+    io::ParseDiag diag;
+    EXPECT_EQ(io::tryReadPolicyDatabase(is, diag).size(), 0u);
+    EXPECT_FALSE(diag.ok);
+    EXPECT_EQ(diag.line, 2u);
+    EXPECT_NE(diag.reason.find("success rate"), std::string::npos)
+        << diag.reason;
 }
 
 // -------------------------------------------------- archive round-trip ---
@@ -237,7 +340,7 @@ TEST(Persistence, DseArchiveRoundTrip)
 
     std::stringstream buffer;
     io::writeDseArchive(result.archive, buffer);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
 
     ASSERT_EQ(restored.size(), result.archive.size());
     for (std::size_t i = 0; i < restored.size(); ++i) {
@@ -272,7 +375,7 @@ TEST(Persistence, MixedFidelityArchiveRoundTrips)
 
     std::stringstream buffer;
     io::writeDseArchive(result.archive, buffer);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
 
     ASSERT_EQ(restored.size(), result.archive.size());
     bool sawAnalytical = false;
@@ -298,7 +401,7 @@ TEST(Persistence, LegacyArchiveHeaderStillReads)
         "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
         "latency_ms,fps\n"
         "0,1,1,1,0,1,0,0.75,1.5,3.25,12.5,80\n");
-    const auto restored = io::readDseArchive(is);
+    const auto restored = readCleanArchive(is);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].backend, "analytical");
     EXPECT_EQ(restored[0].fidelity, dse::Fidelity::Analytical);
@@ -310,7 +413,7 @@ TEST(Persistence, EmptyArchiveRoundTrips)
 {
     std::stringstream buffer;
     io::writeDseArchive({}, buffer);
-    EXPECT_TRUE(io::readDseArchive(buffer).empty());
+    EXPECT_TRUE(readCleanArchive(buffer).empty());
 }
 
 namespace
@@ -341,6 +444,29 @@ madeEvaluation(int seedIndex, dse::Fidelity fidelity,
     return eval;
 }
 
+/**
+ * Read a one-row archive (operand precision @p precision, "-" for the
+ * 17-column layout) followed by @p badRow: the good row must survive
+ * and line 3 be diagnosed with a reason mentioning @p needle.
+ */
+void
+expectAppendedRowDiagnosed(const std::string &badRow,
+                           const std::string &needle,
+                           const std::string &precision = "-")
+{
+    dse::Evaluation good =
+        madeEvaluation(0, dse::Fidelity::Analytical, "analytical");
+    good.precision = precision;
+    std::stringstream buffer;
+    io::writeDseArchive({good}, buffer);
+    std::istringstream is(buffer.str() + badRow);
+    io::ParseDiag diag;
+    EXPECT_EQ(io::tryReadDseArchive(is, diag).size(), 1u);
+    EXPECT_FALSE(diag.ok);
+    EXPECT_EQ(diag.line, 3u);
+    EXPECT_TRUE(mentions(diag.reason, needle));
+}
+
 /** Re-terminate every line of @p text with CRLF. */
 std::string
 crlfEncode(const std::string &text)
@@ -368,7 +494,7 @@ TEST(Csv, CrlfDseArchiveRoundTripsBackendAndFidelity)
     std::stringstream buffer;
     io::writeDseArchive(archive, buffer);
     std::istringstream crlf_is(crlfEncode(buffer.str()));
-    const auto restored = io::readDseArchive(crlf_is);
+    const auto restored = readCleanArchive(crlf_is);
     ASSERT_EQ(restored.size(), 2u);
     EXPECT_EQ(restored[0].fidelity, dse::Fidelity::Analytical);
     EXPECT_EQ(restored[1].fidelity, dse::Fidelity::CycleAccurate);
@@ -384,7 +510,7 @@ TEST(Csv, CrlfLegacyArchiveStillReads)
         "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
         "latency_ms,fps\r\n"
         "0,1,1,1,0,1,0,0.75,1.5,3.25,12.5,80\r\n");
-    const auto restored = io::readDseArchive(is);
+    const auto restored = readCleanArchive(is);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].backend, "analytical");
     EXPECT_DOUBLE_EQ(restored[0].fps, 80.0);
@@ -415,37 +541,16 @@ TEST(Persistence, TryReadDseArchiveDiagnosesTornTail)
 
 TEST(Persistence, TryReadDseArchiveDiagnosesBadNumber)
 {
-    std::stringstream buffer;
-    io::writeDseArchive(
-        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
-        buffer);
-    std::string corrupt = buffer.str();
-    corrupt +=
-        "0,1,0,1,0,1,0,NOT_A_NUMBER,1,2,3,4,analytical,cycle,0,-,-\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    const auto restored = io::tryReadDseArchive(is, diag);
-    EXPECT_EQ(restored.size(), 1u);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_EQ(diag.line, 3u);
-    EXPECT_NE(diag.reason.find("bad number"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,NOT_A_NUMBER,1,2,3,4,analytical,cycle,0,-,-\n",
+        "bad number");
 }
 
 TEST(Persistence, TryReadDseArchiveDiagnosesUnknownFidelity)
 {
-    std::stringstream buffer;
-    io::writeDseArchive(
-        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
-        buffer);
-    std::string corrupt = buffer.str();
-    corrupt += "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,quantum,0,-,-\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    io::tryReadDseArchive(is, diag);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_NE(diag.reason.find("unknown fidelity"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,quantum,0,-,-\n",
+        "unknown fidelity");
 }
 
 TEST(Persistence, TryReadPolicyDatabaseDiagnosesBadLine)
@@ -560,7 +665,7 @@ TEST(Persistence, LegacyBackendArchiveHeaderStillReads)
         "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
         "latency_ms,fps,backend,fidelity\n"
         "0,1,1,1,0,1,0,0.75,1.5,3.25,12.5,80,tiered,cycle\n");
-    const auto restored = io::readDseArchive(is);
+    const auto restored = readCleanArchive(is);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].backend, "tiered");
     EXPECT_EQ(restored[0].fidelity, dse::Fidelity::CycleAccurate);
@@ -574,7 +679,7 @@ TEST(Persistence, ContentionColumnRoundTrips)
     eval.contentionBytesPerSec = 3.2e9;
     std::stringstream buffer;
     io::writeDseArchive({eval}, buffer);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].backend, "contention");
     EXPECT_DOUBLE_EQ(restored[0].contentionBytesPerSec, 3.2e9);
@@ -582,19 +687,9 @@ TEST(Persistence, ContentionColumnRoundTrips)
 
 TEST(Persistence, TryReadDseArchiveDiagnosesBadContention)
 {
-    std::stringstream buffer;
-    io::writeDseArchive(
-        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
-        buffer);
-    std::string corrupt = buffer.str();
-    corrupt += "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,-5,-,-\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    const auto restored = io::tryReadDseArchive(is, diag);
-    EXPECT_EQ(restored.size(), 1u);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_NE(diag.reason.find("contention"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,-5,-,-\n",
+        "contention");
 }
 
 TEST(Persistence, ScenarioColumnRoundTrips)
@@ -604,7 +699,7 @@ TEST(Persistence, ScenarioColumnRoundTrips)
     eval.scenario = "nav+survey";
     std::stringstream buffer;
     io::writeDseArchive({eval}, buffer);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].scenario, "nav+survey");
     EXPECT_DOUBLE_EQ(restored[0].latencyMs, 11.0);
@@ -620,7 +715,7 @@ TEST(Persistence, LegacyContentionArchiveHeaderStillReads)
         "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
         "latency_ms,fps,backend,fidelity,contention_bps\n"
         "0,1,1,1,0,1,0,0.75,1.5,3.25,12.5,80,contention,cycle,2.5e9\n");
-    const auto restored = io::readDseArchive(is);
+    const auto restored = readCleanArchive(is);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].scenario, "-");
     EXPECT_EQ(restored[0].backend, "contention");
@@ -629,19 +724,9 @@ TEST(Persistence, LegacyContentionArchiveHeaderStillReads)
 
 TEST(Persistence, TryReadDseArchiveDiagnosesEmptyScenario)
 {
-    std::stringstream buffer;
-    io::writeDseArchive(
-        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
-        buffer);
-    std::string corrupt = buffer.str();
-    corrupt += "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,0,,-\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    const auto restored = io::tryReadDseArchive(is, diag);
-    EXPECT_EQ(restored.size(), 1u);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_NE(diag.reason.find("scenario"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,0,,-\n",
+        "scenario");
 }
 
 TEST(Persistence, DramColumnRoundTrips)
@@ -651,7 +736,7 @@ TEST(Persistence, DramColumnRoundTrips)
     eval.dramKey = "b8o-1a2b3c4d";
     std::stringstream buffer;
     io::writeDseArchive({eval}, buffer);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].dramKey, "b8o-1a2b3c4d");
     EXPECT_EQ(restored[0].fidelity, dse::Fidelity::BankAccurate);
@@ -668,7 +753,7 @@ TEST(Persistence, LegacyScenarioArchiveHeaderStillReads)
         "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
         "latency_ms,fps,backend,fidelity,contention_bps,scenario\n"
         "0,1,1,1,0,1,0,0.75,1.5,3.25,12.5,80,tiered,cycle,0,nav\n");
-    const auto restored = io::readDseArchive(is);
+    const auto restored = readCleanArchive(is);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].dramKey, "-");
     EXPECT_EQ(restored[0].scenario, "nav");
@@ -677,19 +762,9 @@ TEST(Persistence, LegacyScenarioArchiveHeaderStillReads)
 
 TEST(Persistence, TryReadDseArchiveDiagnosesEmptyDramTag)
 {
-    std::stringstream buffer;
-    io::writeDseArchive(
-        {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
-        buffer);
-    std::string corrupt = buffer.str();
-    corrupt += "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,0,-,\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    const auto restored = io::tryReadDseArchive(is, diag);
-    EXPECT_EQ(restored.size(), 1u);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_NE(diag.reason.find("dram"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,0.5,1,2,3,4,analytical,cycle,0,-,\n",
+        "dram");
 }
 
 TEST(Persistence, PrecisionColumnRoundTrips)
@@ -704,7 +779,7 @@ TEST(Persistence, PrecisionColumnRoundTrips)
     std::stringstream buffer;
     io::writeDseArchive({eval}, buffer);
     EXPECT_NE(buffer.str().find(",precision\n"), std::string::npos);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].precision, "fp16");
     EXPECT_EQ(restored[0].point.accel.bytesPerElement, 2);
@@ -720,7 +795,7 @@ TEST(Persistence, DefaultArchiveOmitsPrecisionColumn)
         {madeEvaluation(0, dse::Fidelity::Analytical, "analytical")},
         buffer);
     EXPECT_EQ(buffer.str().find("precision"), std::string::npos);
-    const auto restored = io::readDseArchive(buffer);
+    const auto restored = readCleanArchive(buffer);
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_EQ(restored[0].precision, "-");
     EXPECT_EQ(restored[0].point.accel.bytesPerElement, 1);
@@ -728,41 +803,38 @@ TEST(Persistence, DefaultArchiveOmitsPrecisionColumn)
 
 TEST(Persistence, TryReadDseArchiveDiagnosesUnknownPrecision)
 {
-    dse::Evaluation eval =
-        madeEvaluation(0, dse::Fidelity::Analytical, "quantized");
-    eval.precision = "int8";
-    std::stringstream buffer;
-    io::writeDseArchive({eval}, buffer);
-    std::string corrupt = buffer.str();
-    corrupt += "0,1,0,1,0,1,0,0.5,1,2,3,4,quantized,analytical,0,-,-,"
-               "int9\n";
-    std::istringstream is(corrupt);
-    io::ParseDiag diag;
-    const auto restored = io::tryReadDseArchive(is, diag);
-    EXPECT_EQ(restored.size(), 1u);
-    EXPECT_FALSE(diag.ok);
-    EXPECT_NE(diag.reason.find("precision"), std::string::npos)
-        << diag.reason;
+    expectAppendedRowDiagnosed(
+        "0,1,0,1,0,1,0,0.5,1,2,3,4,quantized,analytical,0,-,-,int9\n",
+        "precision", "int8");
 }
 
 TEST(Persistence, AcceptedHeadersCoverCurrentAndLegacyLayouts)
 {
-    const auto &headers = io::dseArchiveAcceptedHeaders();
-    ASSERT_EQ(headers.size(), 6u);
-    EXPECT_EQ(headers.front(), io::dsePrecisionArchiveHeader());
-    EXPECT_EQ(headers.front().back(), "precision");
-    // Each legacy layout drops exactly the trailing columns the newer
-    // ones appended: precision, then dram, then scenario, then
-    // contention, then backend/fidelity.
-    EXPECT_EQ(headers[1], io::dseArchiveHeader());
-    EXPECT_EQ(headers[1].back(), "dram");
-    EXPECT_EQ(headers[1].size(), headers.front().size() - 1);
-    EXPECT_EQ(headers[2].back(), "scenario");
-    EXPECT_EQ(headers[2].size(), headers[1].size() - 1);
-    EXPECT_EQ(headers[3].back(), "contention_bps");
-    EXPECT_EQ(headers[3].size(), headers[2].size() - 1);
-    EXPECT_EQ(headers[4].back(), "fidelity");
-    EXPECT_EQ(headers.back().size(), 12u);
+    // The precision layout extends the default one by one column, and
+    // every older layout is a prefix of them: each dropped exactly the
+    // trailing columns newer ones appended (precision, then dram, then
+    // scenario, then contention, then backend/fidelity).
+    const std::vector<std::string> &widest = io::dsePrecisionArchiveHeader();
+    ASSERT_EQ(widest.size(), 18u);
+    EXPECT_EQ(widest.back(), "precision");
+    EXPECT_EQ(io::dseArchiveHeader(),
+              std::vector<std::string>(widest.begin(), widest.end() - 1));
+    const struct
+    {
+        std::size_t width;
+        const char *last;
+    } layouts[] = {{18, "precision"}, {17, "dram"},   {16, "scenario"},
+                   {15, "contention_bps"}, {14, "fidelity"}, {12, "fps"}};
+    for (const auto &layout : layouts) {
+        std::string header;
+        for (std::size_t c = 0; c < layout.width; ++c)
+            header += (c == 0 ? "" : ",") + widest[c];
+        EXPECT_EQ(widest[layout.width - 1], layout.last);
+        std::istringstream is(header + "\n");
+        io::ParseDiag diag;
+        EXPECT_TRUE(io::tryReadDseArchive(is, diag).empty());
+        EXPECT_TRUE(diag.ok) << layout.width << ": " << diag.reason;
+    }
 }
 
 TEST(Persistence, HeaderOutsideTheColumnTableIsRejected)

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <set>
@@ -18,6 +20,9 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "airlearning/trainer.h"
 #include "core/autopilot.h"
@@ -31,43 +36,17 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace dse = autopilot::dse;
 namespace al = autopilot::airlearning;
 namespace util = autopilot::util;
 
+using autopilot::fixtures::sharedDatabase;
+using autopilot::fixtures::distinctEncodings;
+
 namespace
 {
-
-/** One shared Phase 1 database for every test here (cheap config). */
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(autopilot::nn::PolicySpace(),
-                         al::ObstacleDensity::Dense, built);
-        return built;
-    }();
-    return db;
-}
-
-std::vector<dse::Encoding>
-distinctEncodings(std::size_t count, std::uint64_t seed)
-{
-    const dse::DesignSpace space;
-    util::Rng rng(seed);
-    std::vector<dse::Encoding> out;
-    std::set<dse::Encoding> seen;
-    while (out.size() < count) {
-        const dse::Encoding encoding = space.randomEncoding(rng);
-        if (seen.insert(encoding).second)
-            out.push_back(encoding);
-    }
-    return out;
-}
 
 } // namespace
 
@@ -621,6 +600,50 @@ TEST(ThreadPool, ShutdownIsIdempotent)
     pool.shutdown(); // Second call must be a no-op, not a hang/crash.
     auto after = pool.submit([] { return 8; });
     EXPECT_THROW(after.get(), util::ThreadPoolStopped);
+}
+
+namespace
+{
+
+/**
+ * Cap this process's address space a few thread stacks above what is
+ * mapped, then start a 64-worker pool, whose stacks exceed the cap, so
+ * a worker fails to start after a handful have. Exits 0 when the
+ * constructor throws, 3 when the pool starts anyway, 4 when the cap
+ * cannot be set; a joinable std::thread left behind aborts instead.
+ */
+[[noreturn]] void
+startPoolUnderAddressCap()
+{
+    std::ifstream statm("/proc/self/statm");
+    unsigned long pages = 0;
+    statm >> pages;
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                       (rlim_t{32} << 20);
+    const rlimit limit{cap, cap};
+    if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0)
+        std::_Exit(4);
+    try {
+        util::ThreadPool pool(64);
+    } catch (...) {
+        std::_Exit(0);
+    }
+    std::_Exit(3);
+}
+
+} // namespace
+
+TEST(ThreadPoolDeath, FailedWorkerStartJoinsTheStartedOnes)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtimes reserve more address space "
+                    "than the cap leaves";
+#else
+    // The constructor must join the workers it started and rethrow.
+    EXPECT_EXIT(startPoolUnderAddressCap(), ::testing::ExitedWithCode(0),
+                "");
+#endif
 }
 
 TEST(ThreadPool, SubmitAfterShutdownReturnsFailedFutureAndNeverRuns)

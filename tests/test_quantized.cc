@@ -45,6 +45,8 @@
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace al = autopilot::airlearning;
 namespace core = autopilot::core;
 namespace dse = autopilot::dse;
@@ -56,23 +58,10 @@ namespace util = autopilot::util;
 namespace util = autopilot::util;
 namespace fs = std::filesystem;
 
+using autopilot::fixtures::sharedDatabase;
+
 namespace
 {
-
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(nn::PolicySpace(), al::ObstacleDensity::Dense,
-                         built);
-        return built;
-    }();
-    return db;
-}
 
 dse::BackendContext
 sharedContext()

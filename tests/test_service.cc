@@ -161,6 +161,7 @@ TEST(Submission, RejectsBadDocumentsWithDiagnostics)
         {"x", R"({"backend": "quantum"})", "backend"},
         {"x", R"({"uav": "jumbo"})", "uav"},
         {"x", R"({"npu_floor": 1.0})", "npu_floor"},
+        {"x", R"({"threads": 257})", "threads"},
         {"x", R"({"deadline_s": -1})", "deadline_s"},
         {"x", R"({"dram_banks": 0, "backend": "dram"})", "dram_banks"},
         {"x", R"({"row_policy": "ajar", "backend": "dram"})",
@@ -300,6 +301,13 @@ TEST(Submission, RejectsBadMissionMixWithDiagnostics)
         {R"({"mission_mix": [{"name": "a", "mission": "loiter"}]})",
          "mission"},
         {R"({"mission_mix": [{"name": "a", "weight": 0}]})", "weight"},
+        // Weights that would overflow the fleet objective's weighted
+        // sums to inf/inf (NaN missions) are rejected by name.
+        {R"({"mission_mix": [{"name": "a", "weight": 1e308},)"
+         R"( {"name": "b", "weight": 1e308}]})",
+         "weight must be in (0, 1e6]"},
+        {R"({"mission_mix": [{"name": "a", "weight": 1000001}]})",
+         "weight"},
         {R"({"mission_mix": [{"name": "a"}, {"name": "a"}]})",
          "duplicate"},
         {R"({"mission_mix": [{"name": "a", "mission": "search"}]})",
@@ -403,10 +411,18 @@ TEST(TaskKeys, BlamesTheOffendingKey)
         const char *badKey;
     } cases[] = {
         {{{"budget", io::JsonValue::makeNumber(0)}}, "budget"},
+        // One past the thread maximum: rejected before any pool starts.
+        {{{"threads", io::JsonValue::makeNumber(runner::maxThreads + 1)}},
+         "threads"},
         {{{"deadline_s", io::JsonValue::makeNumber(
                              std::numeric_limits<double>::quiet_NaN())}},
          "deadline_s"},
         {{{"mission_mix", io::JsonValue::makeNumber(1)}}, "mission_mix"},
+        {{{"mission_mix",
+           io::JsonValue::makeArray({io::JsonValue::makeObject(
+               {{"name", io::JsonValue::makeString("a")},
+                {"weight", io::JsonValue::makeNumber(1e7)}})})}},
+         "mission_mix"},
         {{{"airframe", io::JsonValue::makeString("fixed-wing")},
           {"mission_mix", io::JsonValue::makeArray({})}},
          "airframe"},
@@ -458,6 +474,38 @@ TEST(TaskKeys, BlamesTheOffendingKey)
         EXPECT_FALSE(error.empty());
         EXPECT_EQ(badKey, bad.badKey) << error;
     }
+}
+
+TEST(TaskKeys, ThreadsAndWeightsAtTheirMaximaAreAccepted)
+{
+    namespace io = autopilot::io;
+    const std::map<std::string, io::JsonValue> keys = {
+        {"threads", io::JsonValue::makeNumber(runner::maxThreads)},
+        {"mission_mix",
+         io::JsonValue::makeArray({io::JsonValue::makeObject(
+             {{"name", io::JsonValue::makeString("a")},
+              {"weight",
+               io::JsonValue::makeNumber(uav::MissionMix::maxWeight)}})})},
+    };
+    runner::CampaignTask task;
+    std::string error;
+    std::string badKey;
+    ASSERT_TRUE(runner::applyTaskKeys(keys, task, error, badKey)) << error;
+    EXPECT_EQ(task.spec.threads, runner::maxThreads);
+    ASSERT_EQ(task.spec.missionMix.scenarios.size(), 1u);
+    EXPECT_EQ(task.spec.missionMix.scenarios[0].weight, 1e6);
+}
+
+TEST(ServiceDeath, RejectsPoolAboveTheThreadMaximum)
+{
+    // Checked before the tree is created or any worker starts.
+    const fs::path root = testDir("big_pool");
+    runner::ServiceConfig config = fastConfig(root);
+    config.poolThreads = runner::maxThreads + 1;
+    EXPECT_EXIT(runner::CampaignService{config},
+                ::testing::ExitedWithCode(1), "poolThreads");
+    EXPECT_FALSE(fs::exists(root / "inbox"));
+    fs::remove_all(root);
 }
 
 TEST(ServiceDeath, RejectsNonFinitePollInterval)

@@ -30,11 +30,16 @@
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
+#include "shared_fixtures.h"
+
 namespace util = autopilot::util;
 namespace io = autopilot::io;
 namespace al = autopilot::airlearning;
 namespace dse = autopilot::dse;
 namespace core = autopilot::core;
+
+using autopilot::fixtures::sharedDatabase;
+using autopilot::fixtures::distinctEncodings;
 
 namespace
 {
@@ -55,37 +60,6 @@ class TelemetryTest : public ::testing::Test
         util::Telemetry::instance().setEnabled(false);
     }
 };
-
-/** Cheap Phase 1 database shared by the evaluator tests. */
-const al::PolicyDatabase &
-sharedDatabase()
-{
-    static const al::PolicyDatabase db = [] {
-        al::TrainerConfig config;
-        config.validationEpisodes = 40;
-        const al::Trainer trainer(config);
-        al::PolicyDatabase built;
-        trainer.trainAll(autopilot::nn::PolicySpace(),
-                         al::ObstacleDensity::Dense, built);
-        return built;
-    }();
-    return db;
-}
-
-std::vector<dse::Encoding>
-distinctEncodings(std::size_t count, std::uint64_t seed)
-{
-    const dse::DesignSpace space;
-    util::Rng rng(seed);
-    std::vector<dse::Encoding> out;
-    std::set<dse::Encoding> seen;
-    while (out.size() < count) {
-        const dse::Encoding encoding = space.randomEncoding(rng);
-        if (seen.insert(encoding).second)
-            out.push_back(encoding);
-    }
-    return out;
-}
 
 } // namespace
 
@@ -116,54 +90,26 @@ TEST_F(TelemetryTest, GaugeTracksValueAndHighWater)
     EXPECT_EQ(gauge.maxValue(), 10);
 }
 
-TEST_F(TelemetryTest, HistogramBucketsAndAggregates)
+TEST_F(TelemetryTest, HistogramAggregates)
 {
-    util::Histogram hist({1.0, 10.0, 100.0});
-    hist.record(0.5);   // Bucket 0 (<= 1).
-    hist.record(1.0);   // Bucket 0 (bound is inclusive).
-    hist.record(5.0);   // Bucket 1.
-    hist.record(50.0);  // Bucket 2.
-    hist.record(500.0); // Overflow.
+    util::Histogram hist;
+    for (const double sample : {0.5, 1.0, 5.0, 50.0, 500.0})
+        hist.record(sample);
 
     EXPECT_EQ(hist.count(), 5u);
     EXPECT_DOUBLE_EQ(hist.sum(), 556.5);
     EXPECT_DOUBLE_EQ(hist.min(), 0.5);
     EXPECT_DOUBLE_EQ(hist.max(), 500.0);
     EXPECT_DOUBLE_EQ(hist.mean(), 556.5 / 5.0);
-
-    const std::vector<std::uint64_t> counts = hist.bucketCounts();
-    ASSERT_EQ(counts.size(), 4u); // 3 bounds + overflow.
-    EXPECT_EQ(counts[0], 2u);
-    EXPECT_EQ(counts[1], 1u);
-    EXPECT_EQ(counts[2], 1u);
-    EXPECT_EQ(counts[3], 1u);
 }
 
 TEST_F(TelemetryTest, EmptyHistogramReportsZeros)
 {
-    util::Histogram hist({1.0});
+    util::Histogram hist;
     EXPECT_EQ(hist.count(), 0u);
     EXPECT_DOUBLE_EQ(hist.min(), 0.0);
     EXPECT_DOUBLE_EQ(hist.max(), 0.0);
     EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
-}
-
-TEST_F(TelemetryTest, DefaultLatencyBoundsAreAscending)
-{
-    const std::vector<double> &bounds =
-        util::Histogram::defaultLatencyBoundsSeconds();
-    ASSERT_FALSE(bounds.empty());
-    EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
-    EXPECT_DOUBLE_EQ(bounds.front(), 1e-6);
-    EXPECT_DOUBLE_EQ(bounds.back(), 10.0);
-}
-
-TEST_F(TelemetryTest, HistogramDeathOnBadBounds)
-{
-    EXPECT_EXIT(util::Histogram({}), ::testing::ExitedWithCode(1),
-                "bucket bound");
-    EXPECT_EXIT(util::Histogram({2.0, 1.0}),
-                ::testing::ExitedWithCode(1), "ascending");
 }
 
 // ------------------------------------------------------------ registry ----
@@ -178,8 +124,8 @@ TEST_F(TelemetryTest, RegistryReturnsSameInstrumentForSameName)
     EXPECT_EQ(b.value(), 3u);
 
     util::Histogram &h1 = registry.histogram("lat");
-    util::Histogram &h2 = registry.histogram("lat", {99.0});
-    EXPECT_EQ(&h1, &h2); // Later bounds are ignored.
+    util::Histogram &h2 = registry.histogram("lat");
+    EXPECT_EQ(&h1, &h2);
 }
 
 TEST_F(TelemetryTest, RegistrySnapshotSortedAndTyped)
@@ -206,7 +152,7 @@ TEST_F(TelemetryTest, RegistrySnapshotSortedAndTyped)
     EXPECT_EQ(registry.find("missing").kind, "");
 }
 
-TEST_F(TelemetryTest, RegistryCsvRoundTripsThroughReadCsv)
+TEST_F(TelemetryTest, RegistryCsvRoundTrips)
 {
     util::MetricsRegistry registry;
     registry.counter("dse.cache.hit").add(12);
@@ -216,18 +162,29 @@ TEST_F(TelemetryTest, RegistryCsvRoundTripsThroughReadCsv)
     std::ostringstream csv;
     registry.writeCsv(csv);
     std::istringstream is(csv.str());
-    const auto rows = io::readCsv(
-        is, {"name", "kind", "count", "sum", "min", "max", "value"});
-    ASSERT_EQ(rows.size(), 3u);
+    std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    EXPECT_EQ(io::splitCsvLine(line),
+              (std::vector<std::string>{"name", "kind", "count", "sum",
+                                        "min", "max", "value"}));
+    std::size_t rows = 0;
     bool saw_counter = false;
-    for (const std::vector<std::string> &row : rows) {
+    while (std::getline(is, line)) {
+        const std::vector<std::string> row = io::splitCsvLine(line);
+        ASSERT_EQ(row.size(), 7u) << line;
+        ++rows;
         if (row[0] != "dse.cache.hit")
             continue;
         saw_counter = true;
         EXPECT_EQ(row[1], "counter");
-        EXPECT_EQ(io::parseInt64(row[2]), 12);
-        EXPECT_DOUBLE_EQ(io::parseDouble(row[6]), 12.0);
+        long long count = 0;
+        double value = 0.0;
+        EXPECT_EQ(io::tryParseInt64(row[2], count), "");
+        EXPECT_EQ(io::tryParseDouble(row[6], value), "");
+        EXPECT_EQ(count, 12);
+        EXPECT_DOUBLE_EQ(value, 12.0);
     }
+    EXPECT_EQ(rows, 3u);
     EXPECT_TRUE(saw_counter);
 }
 
@@ -235,7 +192,7 @@ TEST_F(TelemetryTest, RegistryCsvRoundTripsThroughReadCsv)
 
 TEST_F(TelemetryTest, ScopedTimerRecordsIntoHistogram)
 {
-    util::Histogram hist({1.0, 10.0});
+    util::Histogram hist;
     {
         util::ScopedTimer timer(&hist);
         EXPECT_GE(timer.elapsedSeconds(), 0.0);
