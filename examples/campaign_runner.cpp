@@ -30,7 +30,8 @@
  *   --serve ROOT       Service root directory (created on demand).
  *   --max-active N     Campaigns running at once       (default 2)
  *   --workers N        Shared pool threads, 0-256; 0 = hw (default 0)
- *   --poll S           Inbox scan interval, seconds    (default 0.2)
+ *   --poll S           Inbox scan interval, seconds    (default 0.2);
+ *                      a finished campaign frees its slot at once
  *   --max-campaigns N  Exit after N terminal campaigns (default: run
  *                      until signalled)
  *

@@ -26,12 +26,14 @@ tryParseFingerprintLine(const std::string &line,
     if (fields.size() != 2 || fields[0] != fingerprintKey ||
         fields[1].empty())
         return false;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(fields[1].c_str(), &end, 16);
-    if (end == fields[1].c_str() || *end != '\0')
+    // Only the writer's own spelling (formatFingerprint: 1-16
+    // lowercase hex digits). strtoull alone would also take "-1",
+    // "0x1a", " 1a" or "1A" and saturate on overflow.
+    const std::uint64_t parsed = static_cast<std::uint64_t>(
+        std::strtoull(fields[1].c_str(), nullptr, 16));
+    if (formatFingerprint(parsed) != fields[1])
         return false;
-    fingerprint = static_cast<std::uint64_t>(parsed);
+    fingerprint = parsed;
     return true;
 }
 

@@ -235,9 +235,18 @@ tryDecodeArchiveRow(std::vector<std::string> row,
     double *const metrics[] = {&eval.successRate, &eval.npuPowerW,
                                &eval.socPowerW, &eval.latencyMs,
                                &eval.fps};
+    // Every metric is a finite non-negative quantity and the success
+    // rate a probability: a NaN, inf or negative value would replay
+    // into the memo cache and Phase 3 as an objective.
     for (std::size_t m = 0; m < std::size(metrics); ++m) {
         const std::size_t column = encodedColumns + m;
-        const std::string reason = tryParseDouble(row[column], *metrics[m]);
+        std::string reason = tryParseDouble(row[column], *metrics[m]);
+        const double value = *metrics[m];
+        const bool inDomain = m == 0 ? value >= 0.0 && value <= 1.0
+                                     : value >= 0.0 && std::isfinite(value);
+        if (reason.empty() && !inDomain)
+            reason = "value " + row[column] +
+                     (m == 0 ? " outside [0, 1]" : " must be finite and >= 0");
         if (!reason.empty())
             return fail(column, reason);
     }

@@ -1,7 +1,6 @@
 #include "runner/service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -28,6 +27,12 @@ namespace fs = std::filesystem;
 
 namespace
 {
+
+/// Longest single wait between passes. pollSeconds only has to be
+/// finite, and a wait past about 292 years would overflow the clock's
+/// nanosecond ticks (and return at once, spinning the loop); an idle
+/// inbox scan a day costs nothing.
+constexpr double maxWaitSeconds = 86400.0;
 
 /// Path components and tenant names end up in directory names and
 /// status CSVs; keep them boring.
@@ -189,6 +194,16 @@ bumpServiceCounter(const std::string &name, std::size_t amount = 1)
             .counter("service.campaigns." + name)
             .add(static_cast<std::uint64_t>(amount));
     }
+}
+
+/// The status a finished campaign ends in. A drain is not a failure:
+/// an "interrupted" campaign stays in active/ and resumes on restart.
+std::string
+terminalState(const CampaignReport &report)
+{
+    if (report.cancelledCount() > 0)
+        return "interrupted";
+    return report.failedCount() == 0 ? "done" : "failed";
 }
 
 } // namespace
@@ -431,7 +446,8 @@ parseMissionMix(const std::string &text, uav::MissionMix &out,
 struct CampaignService::Pending
 {
     CampaignSubmission sub;
-    int seq = 0;       ///< Status-file sequence (per process run).
+    int seq = 0;       ///< Status-file sequence (per process run);
+                       ///< 0 until the "queued" status is written.
     int admitted = -1; ///< Global admission order; -1 while queued.
 };
 
@@ -440,7 +456,7 @@ struct CampaignService::Active
 {
     std::unique_ptr<Pending> pending;
     std::thread thread;
-    std::atomic<bool> done{false};
+    bool done = false; ///< Guarded by CampaignService::doneMutex.
     CampaignReport report;
 };
 
@@ -491,6 +507,9 @@ void
 CampaignService::writeStatus(Pending &pending, const std::string &state,
                              const std::string &detail)
 {
+    // "queued" describes the submission before its admission, also
+    // when the write lands in the pass that admitted it.
+    const int admitted = state == "queued" ? -1 : pending.admitted;
     pending.seq++;
     std::ostringstream os;
     os << "seq," << pending.seq << "\n"
@@ -498,8 +517,7 @@ CampaignService::writeStatus(Pending &pending, const std::string &state,
        << "tenant," << pending.sub.tenant << "\n"
        << "state," << state << "\n"
        << "admitted,"
-       << (pending.admitted >= 0 ? std::to_string(pending.admitted)
-                                 : std::string("-"))
+       << (admitted >= 0 ? std::to_string(admitted) : std::string("-"))
        << "\n"
        << "detail," << (detail.empty() ? "-" : detail) << "\n";
     io::writeFileAtomic(dir("status") + "/" + pending.sub.id + ".status",
@@ -507,9 +525,17 @@ CampaignService::writeStatus(Pending &pending, const std::string &state,
 }
 
 void
+CampaignService::writeQueued(Pending &pending)
+{
+    if (pending.seq == 0)
+        writeStatus(pending, "queued", "");
+}
+
+void
 CampaignService::enqueue(std::unique_ptr<Pending> pending)
 {
-    writeStatus(*pending, "queued", "");
+    // The "queued" status is written at the end of the pass (see
+    // writeBookkeeping), after this pass's admissions.
     const std::string tenant = pending->sub.tenant;
     queues[tenant].push_back(std::move(pending));
     queuedCount++;
@@ -657,7 +683,6 @@ CampaignService::admitFairShare(ServiceReport &report)
 
         Pending &pending = *campaign->pending;
         pending.admitted = admissionCounter++;
-        writeStatus(pending, "running", "");
         report.admitted++;
         bumpServiceCounter("admitted");
 
@@ -672,7 +697,7 @@ CampaignService::admitFairShare(ServiceReport &report)
         cc.sharedPool = sharedPool.get();
 
         Active *handle = campaign.get();
-        campaign->thread = std::thread([handle, cc]() {
+        campaign->thread = std::thread([this, handle, cc]() {
             try {
                 CampaignRunner runner(cc);
                 const std::vector<CampaignTask> tasks = {
@@ -687,7 +712,11 @@ CampaignService::admitFairShare(ServiceReport &report)
                     std::string("campaign thread: ") + error.what();
                 handle->report.outcomes = {outcome};
             }
-            handle->done.store(true, std::memory_order_release);
+            {
+                const std::lock_guard<std::mutex> lock(doneMutex);
+                handle->done = true;
+            }
+            doneCv.notify_one();
         });
         active.push_back(std::move(campaign));
     }
@@ -701,17 +730,16 @@ CampaignService::admitFairShare(ServiceReport &report)
 }
 
 void
-CampaignService::finalize(Active &campaign, ServiceReport &report)
+CampaignService::finalize(Active &campaign)
 {
     Pending &pending = *campaign.pending;
     const std::string &id = pending.sub.id;
+    const std::string state = terminalState(campaign.report);
 
-    if (campaign.report.cancelledCount() > 0) {
-        // Drain, not failure: the submission stays in active/ and its
-        // journals in work/, so the next start resumes it.
-        writeStatus(pending, "interrupted", "service drain");
-        report.interrupted++;
-        bumpServiceCounter("interrupted");
+    if (state == "interrupted") {
+        // The submission stays in active/ and its journals in work/,
+        // so the next start resumes it.
+        writeStatus(pending, state, "service drain");
         return;
     }
 
@@ -720,19 +748,11 @@ CampaignService::finalize(Active &campaign, ServiceReport &report)
     io::writeFileAtomic(dir("results") + "/" + id + ".result",
                         result.str());
 
-    const bool succeeded = campaign.report.failedCount() == 0;
-    if (succeeded) {
-        report.completed++;
-        bumpServiceCounter("completed");
-    } else {
-        report.failed++;
-        bumpServiceCounter("failed");
-    }
     std::string detail;
     for (const TaskOutcome &outcome : campaign.report.outcomes)
         if (outcome.status != TaskStatus::Succeeded)
             detail = outcome.diagnosis;
-    writeStatus(pending, succeeded ? "done" : "failed", detail);
+    writeStatus(pending, state, detail);
     tryRename(dir("active") + "/" + id + ".json",
               dir("done") + "/" + id + ".json");
 }
@@ -740,19 +760,55 @@ CampaignService::finalize(Active &campaign, ServiceReport &report)
 bool
 CampaignService::reapFinished(ServiceReport &report)
 {
-    bool reaped = false;
-    for (std::size_t i = 0; i < active.size();) {
-        if (!active[i]->done.load(std::memory_order_acquire)) {
-            ++i;
-            continue;
+    // reaped is empty here: the previous pass's writeBookkeeping
+    // cleared it.
+    {
+        const std::lock_guard<std::mutex> lock(doneMutex);
+        for (auto it = active.begin(); it != active.end();) {
+            if ((*it)->done) {
+                reaped.push_back(std::move(*it));
+                it = active.erase(it);
+            } else {
+                ++it;
+            }
         }
-        active[i]->thread.join();
-        finalize(*active[i], report);
-        active.erase(active.begin() +
-                     static_cast<std::ptrdiff_t>(i));
-        reaped = true;
     }
-    return reaped;
+    // Counted here, before this pass admits, so the maxCampaigns bound
+    // sees them; their files are written by writeBookkeeping.
+    for (const std::unique_ptr<Active> &campaign : reaped) {
+        campaign->thread.join();
+        const std::string state = terminalState(campaign->report);
+        if (state == "interrupted")
+            report.interrupted++;
+        else if (state == "done")
+            report.completed++;
+        else
+            report.failed++;
+        bumpServiceCounter(state == "done" ? "completed" : state);
+    }
+    return !reaped.empty();
+}
+
+void
+CampaignService::writeBookkeeping(std::size_t firstAdmitted)
+{
+    // Every durable write of the pass, after its admissions: results
+    // and terminal states of the reaped campaigns first (before the
+    // next scanInbox, whose duplicate check reads the result files),
+    // then the admitted campaigns' "running", then the "queued" of
+    // the submissions still waiting. A status write is only ever
+    // delayed, never skipped, so each file keeps every seq.
+    for (const std::unique_ptr<Active> &campaign : reaped)
+        finalize(*campaign);
+    reaped.clear();
+    for (std::size_t i = firstAdmitted; i < active.size(); ++i) {
+        Pending &pending = *active[i]->pending;
+        writeQueued(pending);
+        writeStatus(pending, "running", "");
+    }
+    for (const auto &[tenant, queue] : queues)
+        for (const std::unique_ptr<Pending> &pending : queue)
+            writeQueued(*pending);
 }
 
 ServiceReport
@@ -772,10 +828,12 @@ CampaignService::serve()
             scanInbox(report);
             progressed |= report.rejected + queuedCount != before;
         }
+        progressed |= reapFinished(report);
         const std::size_t admittedBefore = report.admitted;
+        const std::size_t firstAdmitted = active.size();
         admitFairShare(report);
         progressed |= report.admitted != admittedBefore;
-        progressed |= reapFinished(report);
+        writeBookkeeping(firstAdmitted);
 
         if (cfg.stop.cancelled() && active.empty())
             break; // Drained; queued submissions wait in active/.
@@ -792,8 +850,20 @@ CampaignService::serve()
             break;
 
         if (!progressed && cfg.pollSeconds > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(cfg.pollSeconds));
+            // A finishing campaign wakes the loop at once; the timeout
+            // only paces the inbox scan.
+            std::unique_lock<std::mutex> lock(doneMutex);
+            doneCv.wait_for(
+                lock,
+                std::chrono::duration<double>(
+                    std::min(cfg.pollSeconds, maxWaitSeconds)),
+                [this] {
+                    return std::any_of(
+                        active.begin(), active.end(),
+                        [](const std::unique_ptr<Active> &campaign) {
+                            return campaign->done;
+                        });
+                });
         }
     }
     return report;

@@ -33,7 +33,10 @@
  * fsync+rename-atomic (io::writeFileAtomic), so a SIGKILL at any
  * instant loses at most one in-flight evaluation batch per campaign; a
  * restarted service re-admits everything in active/, resumes from the
- * journals, and produces byte-identical result files.
+ * journals, and produces byte-identical result files. A finished
+ * campaign's slot is refilled before its result and status are
+ * written; until then it sits in active/ with a complete journal, the
+ * state a crash right after it finished leaves anyway.
  *
  * A malformed or invalid submission is rejected (status file explains
  * why, the file moves to done/<id>.rejected) - it never takes the
@@ -45,10 +48,12 @@
 #ifndef AUTOPILOT_RUNNER_SERVICE_H
 #define AUTOPILOT_RUNNER_SERVICE_H
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -138,7 +143,8 @@ struct ServiceConfig
     /// Worker threads in the shared pool all campaigns execute on; 0
     /// uses the hardware concurrency; at most maxThreads.
     int poolThreads = 0;
-    /// Inbox scan / reap interval.
+    /// Inbox scan interval. A finishing campaign wakes the service at
+    /// once, so its slot is refilled without waiting for the next scan.
     double pollSeconds = 0.2;
     /// Retry policy applied to every campaign's tasks.
     util::RetryPolicy retry;
@@ -180,10 +186,12 @@ class CampaignService
     CampaignService &operator=(const CampaignService &) = delete;
 
     /**
-     * Run the service loop: recover active/ submissions, then scan the
-     * inbox, admit fair-share, reap finished campaigns, until the stop
-     * token fires or the maxCampaigns bound is met. Blocks. Safe to
-     * call once per instance.
+     * Run the service loop: recover active/ submissions, then per pass
+     * scan the inbox, reap finished campaigns, admit fair-share into
+     * the freed slots and only then make the pass's status and result
+     * writes, until the stop token fires or the maxCampaigns bound is
+     * met. Between passes it waits for a campaign to finish or for the
+     * next inbox scan. Blocks. Safe to call once per instance.
      */
     ServiceReport serve();
 
@@ -199,12 +207,14 @@ class CampaignService
     std::string dir(const std::string &sub) const;
     void writeStatus(Pending &pending, const std::string &state,
                      const std::string &detail);
+    void writeQueued(Pending &pending);
     void scanInbox(ServiceReport &report);
     void recoverActive(ServiceReport &report);
     void enqueue(std::unique_ptr<Pending> pending);
     void admitFairShare(ServiceReport &report);
     bool reapFinished(ServiceReport &report);
-    void finalize(Active &campaign, ServiceReport &report);
+    void finalize(Active &campaign);
+    void writeBookkeeping(std::size_t firstAdmitted);
 
     ServiceConfig cfg;
     std::unique_ptr<util::ThreadPool> sharedPool;
@@ -212,6 +222,13 @@ class CampaignService
     std::map<std::string, std::deque<std::unique_ptr<Pending>>> queues;
     std::string rrCursor; ///< Last tenant admitted (round-robin state).
     std::vector<std::unique_ptr<Active>> active;
+    /// Joined and counted campaigns whose result and terminal status
+    /// are written at the end of the pass that reaped them.
+    std::vector<std::unique_ptr<Active>> reaped;
+    /// Guards every Active::done; a campaign thread notifies doneCv
+    /// after setting its flag, which wakes serve() between passes.
+    std::mutex doneMutex;
+    std::condition_variable doneCv;
     int admissionCounter = 0; ///< Global admission order stamp.
     std::size_t queuedCount = 0;
     bool served = false;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -139,6 +140,21 @@ expectFixedPoint(const std::string &bytes, Read read, Write write)
     const std::string once = reread(bytes, read, write, ok);
     EXPECT_EQ(reread(once, read, write, ok), once);
     EXPECT_TRUE(ok) << "a written value must re-read cleanly";
+}
+
+/** Every accepted row lies in the archive's value domains: finite,
+ * non-negative metrics and a success rate in [0, 1]. */
+void
+expectInDomain(const std::vector<dse::Evaluation> &rows)
+{
+    for (const dse::Evaluation &eval : rows) {
+        EXPECT_TRUE(eval.successRate >= 0.0 && eval.successRate <= 1.0)
+            << eval.successRate;
+        for (const double value : {eval.npuPowerW, eval.socPowerW,
+                                   eval.latencyMs, eval.fps,
+                                   eval.contentionBytesPerSec})
+            EXPECT_TRUE(std::isfinite(value) && value >= 0.0) << value;
+    }
 }
 
 /** A journal of two committed batches, as a run writes it. */
@@ -291,12 +307,18 @@ TEST_F(ReaderMutation, MutatedInputsYieldValueOrDiagnosis)
             try {
                 expectFixedPoint(bytes, io::tryReadDseArchive,
                                  io::writeDseArchive);
+                {
+                    std::istringstream archive(bytes);
+                    io::ParseDiag diag;
+                    expectInDomain(io::tryReadDseArchive(archive, diag));
+                }
                 expectFixedPoint(bytes, io::tryReadPolicyDatabase,
                                  io::writePolicyDatabase);
                 std::ofstream(mutant, std::ios::binary) << bytes;
                 const io::JournalReplay replay =
                     io::readEvalJournal(mutant.string());
                 EXPECT_TRUE(replay.found || replay.entries.empty());
+                expectInDomain(replay.entries);
                 if (replay.truncated) {
                     EXPECT_GE(replay.badLine, 2u); // Past the fingerprint.
                     EXPECT_FALSE(replay.reason.empty());
@@ -313,4 +335,46 @@ TEST_F(ReaderMutation, MutatedInputsYieldValueOrDiagnosis)
                 return; // One reproducer is enough.
         }
     }
+}
+
+TEST_F(ReaderMutation, OutOfDomainMetricsAreDiagnosed)
+{
+    const std::string header =
+        "layers_idx,filters_idx,pe_rows_idx,pe_cols_idx,ifmap_idx,"
+        "filter_idx,ofmap_idx,success_rate,npu_power_w,soc_power_w,"
+        "latency_ms,fps\n";
+    const auto read = [&](const std::string &row, io::ParseDiag &diag) {
+        std::istringstream is(header + row + "\n");
+        return io::tryReadDseArchive(is, diag);
+    };
+    io::ParseDiag diag;
+    ASSERT_EQ(read("0,1,1,1,0,1,0,1,0,0,0,0", diag).size(), 1u);
+    ASSERT_TRUE(diag.ok) << diag.reason;
+
+    // Every bad metric fails the row at its own column, with the value.
+    const char *const columns[] = {"success_rate", "npu_power_w",
+                                   "soc_power_w", "latency_ms", "fps"};
+    for (std::size_t m = 0; m < std::size(columns); ++m) {
+        for (const char *bad : {"nan", "-nan", "inf", "-inf", "-1.5",
+                                "1e400", m == 0 ? "1.5" : "-1e-300"}) {
+            std::string row = "0,1,1,1,0,1,0";
+            for (std::size_t k = 0; k < std::size(columns); ++k)
+                row += std::string(",") + (k == m ? bad : "0.5");
+            io::ParseDiag badDiag;
+            EXPECT_TRUE(read(row, badDiag).empty()) << row;
+            EXPECT_FALSE(badDiag.ok) << row;
+            EXPECT_EQ(badDiag.line, 2u) << row;
+            EXPECT_EQ(badDiag.reason.rfind(columns[m], 0), 0u)
+                << row << ": " << badDiag.reason;
+        }
+    }
+
+    // The row that used to replay NaN, inf and negative objectives.
+    io::ParseDiag replayed;
+    EXPECT_TRUE(read("0,1,1,1,0,1,0,nan,-1.5,inf,-12.5,nan", replayed)
+                    .empty());
+    EXPECT_FALSE(replayed.ok);
+    EXPECT_EQ(replayed.reason.rfind("success_rate: value nan outside", 0),
+              0u)
+        << replayed.reason;
 }

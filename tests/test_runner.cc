@@ -34,6 +34,7 @@
 #include "util/retry.h"
 
 #include "shared_fixtures.h"
+#include "temp_tree.h"
 
 namespace fs = std::filesystem;
 namespace al = autopilot::airlearning;
@@ -45,6 +46,7 @@ namespace nn = autopilot::nn;
 namespace runner = autopilot::runner;
 namespace util = autopilot::util;
 
+using autopilot::fixtures::RemoveTreeOnExit;
 using autopilot::fixtures::sharedDatabase;
 
 namespace
@@ -472,6 +474,19 @@ TEST(Journal, MissingOrHeaderlessFileIsNotFound)
     // file reads as not-found and resume falls back to a fresh run.
     std::istringstream tornFingerprint("fingerpr");
     EXPECT_FALSE(io::readEvalJournal(tornFingerprint).found);
+    // The writer emits 1-16 lowercase hex digits; any other spelling
+    // (sign, overflow, blank, prefix, upper case) is not a fingerprint
+    // line, so it can never match a task's fingerprint by accident.
+    for (const char *field :
+         {"-1", "1ffffffffffffffffff", " 1a", "0x1a", "1A"}) {
+        std::istringstream journal(std::string("fingerprint,") + field +
+                                   "\n");
+        EXPECT_FALSE(io::readEvalJournal(journal).found) << field;
+    }
+    std::istringstream widest("fingerprint,ffffffffffffffff\n");
+    const io::JournalReplay replay = io::readEvalJournal(widest);
+    EXPECT_TRUE(replay.found);
+    EXPECT_EQ(replay.fingerprint, ~std::uint64_t{0});
 }
 
 TEST(Journal, PolicyCheckpointRoundTrips)
@@ -1263,6 +1278,7 @@ TEST(Cancel, EvaluatorChecksAtBatchEntry)
 TEST(Campaign, StopTokenCancelsWithoutRetryAndStaysResumable)
 {
     const fs::path dir = testDir("campaign_stop");
+    const RemoveTreeOnExit removeDir(dir);
 
     runner::CampaignTask task;
     task.name = "drained";
@@ -1303,8 +1319,10 @@ TEST(Campaign, StopTokenCancelsWithoutRetryAndStaysResumable)
         campaign.run(std::vector<runner::CampaignTask>{task});
     ASSERT_EQ(resumed.succeededCount(), 1u);
 
+    const fs::path goldenDir = testDir("campaign_stop_golden");
+    const RemoveTreeOnExit removeGolden(goldenDir);
     runner::CampaignConfig goldenConfig;
-    goldenConfig.rootDir = testDir("campaign_stop_golden").string();
+    goldenConfig.rootDir = goldenDir.string();
     goldenConfig.retry = fastRetry(3);
     runner::CampaignRunner golden(goldenConfig);
     const runner::CampaignReport uninterrupted =

@@ -27,10 +27,14 @@
 #include "runner/service.h"
 #include "util/cancel.h"
 
+#include "temp_tree.h"
+
 namespace fs = std::filesystem;
 namespace runner = autopilot::runner;
 namespace uav = autopilot::uav;
 namespace util = autopilot::util;
+
+using autopilot::fixtures::RemoveTreeOnExit;
 
 namespace
 {
@@ -526,6 +530,7 @@ TEST(ServiceDeath, RejectsNonFinitePollInterval)
 TEST(Service, InboxToResultRoundTripWithRejects)
 {
     const fs::path root = testDir("roundtrip");
+    const RemoveTreeOnExit removeRoot(root);
     runner::ServiceConfig config = fastConfig(root);
     config.maxActiveCampaigns = 2;
     config.maxCampaigns = 2;
@@ -721,6 +726,7 @@ TEST(Service, OverflowingContentionFloorIsRejected)
 TEST(Service, FairShareAdmissionRotatesAcrossTenants)
 {
     const fs::path root = testDir("fairshare");
+    const RemoveTreeOnExit removeRoot(root);
     runner::ServiceConfig config = fastConfig(root);
     // One slot: the admission ORDER is fully observable through the
     // per-campaign admission stamps.
@@ -766,6 +772,7 @@ TEST(Service, CorruptActiveSubmissionIsRejectedUnderItsId)
 TEST(Service, DuplicateIdIsRejectedAfterCompletion)
 {
     const fs::path root = testDir("duplicate");
+    const RemoveTreeOnExit removeRoot(root);
     runner::ServiceConfig config = fastConfig(root);
     config.maxCampaigns = 1;
     {
@@ -793,6 +800,7 @@ TEST(Service, DrainInterruptsThenRestartResumesByteIdentical)
 {
     // Golden: the same submission served uninterrupted in a fresh root.
     const fs::path goldenRoot = testDir("drain_golden");
+    const RemoveTreeOnExit removeGolden(goldenRoot);
     const char *submission =
         R"({"tenant": "alice", "density": "low", "episodes": 10,)"
         R"( "budget": 16, "threads": 2})";
@@ -812,6 +820,7 @@ TEST(Service, DrainInterruptsThenRestartResumesByteIdentical)
     // accepts either race outcome and verifies the invariant that
     // matters: the final result bytes match the golden run).
     const fs::path root = testDir("drain");
+    const RemoveTreeOnExit removeRoot(root);
     util::CancelSource stop;
     runner::ServiceConfig config = fastConfig(root);
     config.stop = stop.token();
@@ -852,4 +861,88 @@ TEST(Service, DrainInterruptsThenRestartResumesByteIdentical)
         << "resumed result must be byte-identical to an uninterrupted "
            "run";
     EXPECT_TRUE(fs::exists(root / "done" / "exp.json"));
+}
+
+TEST(Service, CompletionRefillsSlotWithoutPollTick)
+{
+    // A 30 s scan interval against campaigns of a few milliseconds: a
+    // service that noticed completions only on its poll tick would
+    // sleep a full tick per campaign. A finishing campaign must wake
+    // it and refill the one slot at once.
+    const fs::path root = testDir("refill");
+    const RemoveTreeOnExit removeRoot(root);
+    runner::ServiceConfig config = fastConfig(root);
+    config.pollSeconds = 30.0;
+    config.maxActiveCampaigns = 1;
+    config.maxCampaigns = 3;
+    runner::CampaignService service(config);
+    submit(root, "alice-1", kSmallSubmission);
+    submit(root, "alice-2", kSmallSubmission);
+    submit(root, "bob-1",
+           R"({"tenant": "bob", "episodes": 10, "budget": 8})");
+
+    const auto start = std::chrono::steady_clock::now();
+    const runner::ServiceReport report = service.serve();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(report.completed, 3u);
+    EXPECT_LT(seconds, 15.0)
+        << "a completion must not wait for the next inbox scan";
+    for (const char *id : {"alice-1", "alice-2", "bob-1"})
+        EXPECT_TRUE(fs::exists(root / "results" / (std::string(id) +
+                                                   ".result")))
+            << id;
+}
+
+TEST(Service, DeferredBookkeepingKeepsEveryTransition)
+{
+    // A closed two-tenant batch over two slots. The status and result
+    // writes of each pass come after its admissions, yet every status
+    // file must end on the third transition (queued, running, done)
+    // with the fair-share stamps, and every result must match the same
+    // batch served on a fast poll.
+    const std::map<std::string, std::string> batch = {
+        {"alice-1", kSmallSubmission},
+        {"alice-2", kSmallSubmission},
+        {"bob-1", R"({"tenant": "bob", "episodes": 10, "budget": 8})"},
+        {"bob-2", R"({"tenant": "bob", "density": "medium",)"
+                  R"( "episodes": 10, "budget": 8, "seed": 3})"},
+    };
+    const auto serveBatch = [&](const fs::path &root, double poll) {
+        runner::ServiceConfig config = fastConfig(root);
+        config.pollSeconds = poll;
+        config.maxActiveCampaigns = 2;
+        config.maxCampaigns = static_cast<int>(batch.size());
+        runner::CampaignService service(config);
+        for (const auto &[id, json] : batch)
+            submit(root, id, json);
+        return service.serve();
+    };
+
+    const fs::path goldenRoot = testDir("bookkeeping_golden");
+    const RemoveTreeOnExit removeGolden(goldenRoot);
+    ASSERT_EQ(serveBatch(goldenRoot, 0.005).completed, batch.size());
+    const fs::path root = testDir("bookkeeping");
+    const RemoveTreeOnExit removeRoot(root);
+    ASSERT_EQ(serveBatch(root, 30.0).completed, batch.size());
+
+    // Slots go alice, bob, then alternate from the cursor on bob.
+    const std::map<std::string, std::string> stamps = {
+        {"alice-1", "0"}, {"bob-1", "1"}, {"alice-2", "2"}, {"bob-2", "3"}};
+    for (const auto &[id, json] : batch) {
+        EXPECT_EQ(statusField(root, id, "seq"), "3") << id;
+        EXPECT_EQ(statusField(root, id, "state"), "done") << id;
+        EXPECT_EQ(statusField(root, id, "admitted"), stamps.at(id)) << id;
+        EXPECT_EQ(statusField(root, id, "detail"), "-") << id;
+        EXPECT_TRUE(fs::exists(root / "done" / (id + ".json"))) << id;
+        const std::string result =
+            fileBytes(root / "results" / (id + ".result"));
+        EXPECT_FALSE(result.empty()) << id;
+        EXPECT_EQ(result,
+                  fileBytes(goldenRoot / "results" / (id + ".result")))
+            << id;
+    }
+    EXPECT_TRUE(fs::is_empty(root / "inbox"));
+    EXPECT_TRUE(fs::is_empty(root / "active"));
 }
